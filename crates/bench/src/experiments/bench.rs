@@ -1,9 +1,11 @@
 //! The `bench` experiment: wall-clock measurements of the synthesis hot
-//! paths, written as a `BENCH_phase7.json` artifact so the repository's
-//! performance trajectory is tracked in-tree. The committed
-//! `BENCH_phase6.json` is the previous phase's baseline; the `--gate`
-//! flag of the `experiments` binary diffs a fresh artifact against it
-//! (see [`crate::gate`]).
+//! paths, written as a `BENCH_phase<N>.json` artifact
+//! ([`BENCH_ARTIFACT_PATH`]) so the repository's performance trajectory is
+//! tracked in-tree. Only the artifact name carries the phase; this module
+//! keeps its name across phases. The committed previous-phase artifact
+//! ([`BENCH_BASELINE_PATH`]) is the baseline; the `--gate` flag of the
+//! `experiments` binary diffs a fresh artifact against it (see
+//! [`crate::gate`]).
 //!
 //! Measured on the `D_26_media` case study:
 //!
@@ -24,11 +26,8 @@
 //!   as `partition_phase1_k8_theta_sparse_s` (renamed from
 //!   `partition_phase1_k8_theta_spg_s` with the phase-7 sparsification;
 //!   the gate skips renamed metrics rather than failing on them).
-//! * one flow-routing pass through the indexed [`PathAllocator`] core
-//!   (reported as flows routed per second), plus the phase-7
-//!   class-decomposed form (`routing.class_parallel_per_pass_s`): the
-//!   request and response CDG passes routed on two threads and merged
-//!   back into the interleaved creation order,
+//! * one interleaved flow-routing pass through the indexed
+//!   [`PathAllocator`] core (reported as flows routed per second),
 //! * the switch-placement LP, cold (`placement_lp_k8_s`: the first
 //!   placement of a candidate, through a chain-cut [`PlacementSolver`])
 //!   and warm (`placement_lp_warm_k8_s`: a re-placement through the
@@ -72,10 +71,13 @@ use sunfloor_models::NocLibrary;
 
 /// File the measurements are persisted to (repo root when run via
 /// `cargo run -p sunfloor-bench --bin experiments -- bench`).
-pub const BENCH_ARTIFACT_PATH: &str = "BENCH_phase7.json";
+pub const BENCH_ARTIFACT_PATH: &str = "BENCH_phase8.json";
 
 /// The committed previous-phase baseline the gate diffs against.
-pub const BENCH_BASELINE_PATH: &str = "BENCH_phase6.json";
+pub const BENCH_BASELINE_PATH: &str = "BENCH_phase7.json";
+
+/// The phase number written into the artifact.
+const PHASE: u32 = 8;
 
 /// Times `f` over `reps` repetitions (after one warm-up call) and returns
 /// seconds per repetition.
@@ -94,11 +96,11 @@ fn time_per_rep<T>(reps: u32, mut f: impl FnMut() -> T) -> f64 {
 /// unroutable benchmark) surface as an error artifact rather than a
 /// panic, so a bench run can never take the experiments binary down.
 #[must_use]
-pub fn bench_phase7(effort: Effort) -> Artifact {
-    match try_bench_phase7(effort) {
+pub fn bench_hot_paths(effort: Effort) -> Artifact {
+    match try_bench_hot_paths(effort) {
         Ok(artifact) => artifact,
         Err(e) => Artifact::Text {
-            id: "bench_phase7".to_string(),
+            id: "bench".to_string(),
             title: "Hot-path wall-clock baseline (media26)".to_string(),
             body: format!("{{\n  \"error\": \"{e}\"\n}}\n"),
         },
@@ -106,7 +108,7 @@ pub fn bench_phase7(effort: Effort) -> Artifact {
 }
 
 #[allow(clippy::too_many_lines)]
-fn try_bench_phase7(effort: Effort) -> Result<Artifact, String> {
+fn try_bench_hot_paths(effort: Effort) -> Result<Artifact, String> {
     let (sweep_reps, route_reps, sa_iters, sa_reps) = match effort {
         Effort::Quick => (1u32, 20u32, 5_000u32, 3u32),
         Effort::Full => (3, 200, 30_000, 5),
@@ -235,28 +237,6 @@ fn try_bench_phase7(effort: Effort) -> Result<Artifact, String> {
     });
     let flows = graph.edge_list().len();
     let flows_per_s = flows as f64 / route_s;
-    // The class-decomposed form of the same pass (the phase-7 tentpole):
-    // request and response CDGs routed as independent passes on two
-    // threads, links merged back into the interleaved creation order.
-    // Bit-identical to `compute_paths`; the delta against `per_pass_s`
-    // is the thread + merge overhead vs the two-way concurrency win.
-    let class_route_s = time_per_rep(route_reps, || {
-        alloc
-            .compute_paths_classed(
-                &graph,
-                &conn.core_attach,
-                &conn.switch_layer,
-                &conn.est_positions,
-                &core_layers,
-                bench.soc.layers,
-                &lib,
-                &path_cfg,
-                0.6,
-                true,
-            )
-            .ok()
-    });
-
     // Switch-placement LP on routed topologies for the k ∈ {2..8} chain
     // the acceptance gate tracks. Cold = the first placement of a
     // candidate (warm chain cut, as `begin_candidate` does at every
@@ -437,7 +417,7 @@ fn try_bench_phase7(effort: Effort) -> Result<Artifact, String> {
         .collect();
 
     let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"phase\": 7,");
+    let _ = writeln!(json, "  \"phase\": {PHASE},");
     let _ = writeln!(json, "  \"benchmark\": \"media26\",");
     let _ = writeln!(
         json,
@@ -464,7 +444,6 @@ fn try_bench_phase7(effort: Effort) -> Result<Artifact, String> {
     let _ = writeln!(json, "  \"routing\": {{");
     let _ = writeln!(json, "    \"flows\": {flows},");
     let _ = writeln!(json, "    \"per_pass_s\": {route_s:.9},");
-    let _ = writeln!(json, "    \"class_parallel_per_pass_s\": {class_route_s:.9},");
     let _ = writeln!(json, "    \"flows_per_s\": {flows_per_s:.1}");
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"placement_lp_k8_s\": {place_cold_s:.9},");
@@ -535,7 +514,7 @@ fn try_bench_phase7(effort: Effort) -> Result<Artifact, String> {
     }
 
     Ok(Artifact::Text {
-        id: "bench_phase7".to_string(),
+        id: "bench".to_string(),
         title: "Hot-path wall-clock baseline (media26)".to_string(),
         body: json,
     })

@@ -1,6 +1,6 @@
 //! One module per paper artifact family; `run` dispatches by artifact id.
 
-mod bench_phase7;
+mod bench;
 mod floorplans;
 mod ill_sweep;
 mod media;
@@ -14,7 +14,7 @@ mod yield_curve;
 
 use crate::{Artifact, Effort};
 
-pub use bench_phase7::{bench_phase7, BENCH_ARTIFACT_PATH, BENCH_BASELINE_PATH};
+pub use bench::{bench_hot_paths, BENCH_ARTIFACT_PATH, BENCH_BASELINE_PATH};
 pub use floorplans::{fig19_fig20, standard_floorplan};
 pub use ill_sweep::fig21_fig22;
 pub use media::{fig10_to_16, fig18};
@@ -65,7 +65,7 @@ pub fn run(id: &str, effort: Effort) -> Vec<Artifact> {
         }
         "fig23" => vec![fig23(effort)],
         "runtime" => vec![runtime_study(effort)],
-        "bench" => vec![bench_phase7(effort)],
+        "bench" => vec![bench_hot_paths(effort)],
         "all" => {
             let mut out = vec![fig1()];
             out.extend(fig10_to_16(effort));
@@ -76,7 +76,7 @@ pub fn run(id: &str, effort: Effort) -> Vec<Artifact> {
             out.extend(fig21_fig22(effort));
             out.push(fig23(effort));
             out.push(runtime_study(effort));
-            out.push(bench_phase7(effort));
+            out.push(bench_hot_paths(effort));
             out
         }
         _ => Vec::new(),

@@ -61,13 +61,9 @@ pub const TRACKED_METRICS: &[TrackedMetric] = &[
     // Renamed in phase 7 (from `partition_phase1_k8_theta_spg_s`) when the
     // θ-escalation step stopped materializing a dense SPG in favour of the
     // sparse group-attraction fold: skipped against the phase-6 baseline,
-    // self-activating once BENCH_phase7.json becomes the baseline.
+    // active now that BENCH_phase7.json is the baseline.
     TrackedMetric::gated("partition_phase1_k8_theta_sparse_s", Direction::LowerIsBetter),
     TrackedMetric::gated("routing.flows_per_s", Direction::HigherIsBetter),
-    // Present from phase 7 on (the class-decomposed routing pass): skipped
-    // against the phase-6 baseline, self-activating once BENCH_phase7.json
-    // becomes the baseline.
-    TrackedMetric::gated("routing.class_parallel_per_pass_s", Direction::LowerIsBetter),
     TrackedMetric::gated("placement_lp_k8_s", Direction::LowerIsBetter),
     // Present from phase 5 on (the warm-started placement-LP subsystem):
     // skipped against the phase-4 baseline, active now that
@@ -355,16 +351,15 @@ mod tests {
         let report = compare(BASELINE, BASELINE, 0.30);
         assert!(!report.regressed(), "{}", report.render());
         // The phase-3 baseline predates the cold/θ partition metrics, the
-        // phase-7 class-parallel routing metric, the phase-5 warm
-        // placement-LP metrics and the phase-6/7 tempering metrics, so
-        // those seven are skipped; everything else compares equal.
-        assert_eq!(report.deltas.len(), TRACKED_METRICS.len() - 7);
+        // phase-5 warm placement-LP metrics and the phase-6/7 tempering
+        // metrics, so those six are skipped; everything else compares
+        // equal.
+        assert_eq!(report.deltas.len(), TRACKED_METRICS.len() - 6);
         assert_eq!(
             report.skipped,
             vec![
                 "partition_phase1_k8_cold_s".to_string(),
                 "partition_phase1_k8_theta_sparse_s".to_string(),
-                "routing.class_parallel_per_pass_s".to_string(),
                 "placement_lp_warm_k8_s".to_string(),
                 "placement_lp_chain.warm_s".to_string(),
                 "tempering.aggregate_iters_per_s_r4".to_string(),

@@ -81,8 +81,7 @@ struct CandidateEvaluation {
     /// determinism contract as `stats`).
     anneal_stats: AnnealStats,
     /// Routing counters this candidate accrued (same per-candidate
-    /// determinism contract as `stats`; class-threaded and sequential
-    /// routing produce identical deltas).
+    /// determinism contract as `stats`).
     routing_stats: RoutingStats,
 }
 
@@ -301,10 +300,9 @@ impl<'a> SynthesisEngine<'a> {
                 frequency_mhz: freq,
                 deadlock_retries: 24,
             };
-            let class_threads = cfg.parallelism.effective_jobs() <= 1;
             for (count, seed) in &self.phase1_seeds().seeds {
                 let Ok(seed) = seed else { continue };
-                let Ok(mut topo) = alloc.compute_paths_classed(
+                let Ok(mut topo) = alloc.compute_paths(
                     &self.graph,
                     &seed.conn.core_attach,
                     &seed.conn.switch_layer,
@@ -314,7 +312,6 @@ impl<'a> SynthesisEngine<'a> {
                     &cfg.library,
                     &path_cfg,
                     cfg.alpha,
-                    class_threads,
                 ) else {
                     continue;
                 };
@@ -809,14 +806,10 @@ impl<'a> SynthesisEngine<'a> {
         let mut topo: Option<Topology> = None;
         let mut last_err: Option<PathError> = None;
 
-        // Class-threaded routing follows the tempered annealer's
-        // thread-collapse pattern: a parallel sweep already saturates the
-        // machine with candidate workers, so the two class passes then run
-        // sequentially on the worker's thread (the result is identical
-        // either way — the threads only schedule the passes).
-        let class_threads = cfg.parallelism.effective_jobs() <= 1;
+        // Routing runs on the worker's own thread: one interleaved pass is
+        // a few microseconds, so parallelism lives at the candidate level.
         for round in 0..=cfg.indirect_switch_rounds {
-            match alloc.compute_paths_classed(
+            match alloc.compute_paths(
                 &self.graph,
                 &conn.core_attach,
                 &switch_layer,
@@ -826,7 +819,6 @@ impl<'a> SynthesisEngine<'a> {
                 &cfg.library,
                 &path_cfg,
                 cfg.alpha,
-                class_threads,
             ) {
                 Ok(mut t) => {
                     t.indirect_switches = indirect.clone();

@@ -91,10 +91,8 @@ pub struct SynthesisOutcome {
     /// the totals are scheduling-independent.
     pub anneal_stats: AnnealStats,
     /// How the flow routing work was served (flows routed, links created,
-    /// deadlock rollbacks, per-class merges vs interleaved fallbacks).
-    /// Counted per candidate like the other stats, so serial sweeps,
-    /// parallel sweeps and class-threaded routing all report identical
-    /// totals.
+    /// deadlock rollbacks). Counted per candidate like the other stats, so
+    /// serial and parallel sweeps report identical totals.
     pub routing_stats: RoutingStats,
 }
 

@@ -2,6 +2,7 @@
 //! always produce structurally consistent graphs, routes and metrics.
 
 use proptest::prelude::*;
+use proptest::test_runner::{self, ProptestConfig, TestCaseError};
 use sunfloor_core::eval::evaluate;
 use sunfloor_core::graph::CommGraph;
 use sunfloor_core::paths::{compute_paths, PathAllocator, PathConfig};
@@ -128,69 +129,6 @@ proptest! {
         }
     }
 
-    /// The class-decomposed routing pass is bit-identical to the legacy
-    /// interleaved pass on arbitrary fuzz-generated specs — with the
-    /// request/response passes run sequentially and on two threads — in
-    /// links, CDG (link creation) order, flow paths and the power the
-    /// routed topology evaluates to, and thread scheduling never leaks
-    /// into the routing diagnostics.
-    #[test]
-    fn classed_routing_matches_interleaved_bit_for_bit((soc, comm) in arb_design()) {
-        let g = CommGraph::new(&soc, &comm);
-        let layers = soc.layers;
-        let mut switch_of_layer = vec![usize::MAX; layers as usize];
-        let mut switch_layer = Vec::new();
-        for l in 0..layers {
-            if !soc.cores_in_layer(l).is_empty() {
-                switch_of_layer[l as usize] = switch_layer.len();
-                switch_layer.push(l);
-            }
-        }
-        let core_attach: Vec<usize> =
-            soc.cores.iter().map(|c| switch_of_layer[c.layer as usize]).collect();
-        let est: Vec<(f64, f64)> = switch_layer.iter().map(|_| (2.0, 2.0)).collect();
-        let core_layers: Vec<u32> = soc.cores.iter().map(|c| c.layer).collect();
-        let lib = NocLibrary::lp65();
-        let cfg = PathConfig::new(200, 64, 400.0);
-
-        let mut legacy = PathAllocator::new();
-        let base = legacy.compute_paths(
-            &g, &core_attach, &switch_layer, &est, &core_layers, layers, &lib, &cfg, 1.0,
-        ).unwrap();
-        let route_classed = |threaded: bool| {
-            let mut alloc = PathAllocator::new();
-            let topo = alloc.compute_paths_classed(
-                &g, &core_attach, &switch_layer, &est, &core_layers, layers, &lib, &cfg,
-                1.0, threaded,
-            ).unwrap();
-            (topo, alloc.stats())
-        };
-        let (serial, serial_stats) = route_classed(false);
-        let (threaded, threaded_stats) = route_classed(true);
-
-        prop_assert_eq!(&serial, &base, "serial class passes diverged from interleaved");
-        prop_assert_eq!(&threaded, &base, "two-thread class passes diverged from interleaved");
-        prop_assert_eq!(
-            threaded_stats, serial_stats,
-            "worker scheduling leaked into the routing diagnostics"
-        );
-        // Link order is the interleaved creation order — the CDG the
-        // deadlock checks and the goldens depend on.
-        for (a, b) in base.links.iter().zip(threaded.links.iter()) {
-            prop_assert_eq!(a.class, b.class);
-            prop_assert_eq!(&a.flows, &b.flows);
-        }
-        let (pb, pt) = (
-            evaluate(&base, &soc, &g, &lib, 400.0),
-            evaluate(&threaded, &soc, &g, &lib, 400.0),
-        );
-        prop_assert_eq!(
-            pb.power.total_mw().to_bits(),
-            pt.power.total_mw().to_bits(),
-            "routed power must agree bit for bit"
-        );
-    }
-
     /// Full synthesis (thin sweep) on random designs: every reported point
     /// satisfies its own metrics invariants.
     #[test]
@@ -214,4 +152,106 @@ proptest! {
             );
         }
     }
+}
+
+/// A connectivity for `soc` with up to `per_layer` switches per populated
+/// layer: core `i` attaches to slot `i % per_layer` of its layer, and each
+/// switch sits at the centroid of its cores. Returns
+/// `(core_attach, switch_layer, est_positions)`.
+fn slotted_connectivity(
+    soc: &SocSpec,
+    per_layer: usize,
+) -> (Vec<usize>, Vec<u32>, Vec<(f64, f64)>) {
+    let mut switch_of = std::collections::BTreeMap::new();
+    let mut switch_layer = Vec::new();
+    let mut sums: Vec<(f64, f64, f64)> = Vec::new();
+    let mut core_attach = Vec::with_capacity(soc.core_count());
+    for (i, c) in soc.cores.iter().enumerate() {
+        let sw = *switch_of.entry((c.layer, i % per_layer)).or_insert_with(|| {
+            switch_layer.push(c.layer);
+            sums.push((0.0, 0.0, 0.0));
+            switch_layer.len() - 1
+        });
+        let (x, y) = c.center();
+        sums[sw].0 += x;
+        sums[sw].1 += y;
+        sums[sw].2 += 1.0;
+        core_attach.push(sw);
+    }
+    let est = sums.iter().map(|&(x, y, n)| (x / n, y / n)).collect();
+    (core_attach, switch_layer, est)
+}
+
+/// One reused [`PathAllocator`] routing a sequence of designs gives, for
+/// every design, exactly what a fresh allocator gives: the same result or
+/// error, the same per-link flow order, the same routed power bits and the
+/// same counter delta. Budgets are drawn tight (`max_ill` 2–9, switch size
+/// 3–10), where the soft `ill`/port penalties steer the router; the run
+/// checks that they really do change routes on some of the cases. A serial
+/// sweep routes every candidate through one allocator while a parallel
+/// sweep spreads the candidates over several, so serial == parallel rests
+/// on this property.
+#[test]
+fn reused_allocator_matches_fresh_at_soft_thresholds() {
+    let designs = proptest::collection::vec((arb_design(), 2u32..10, 3u32..11, 1usize..4), 1..6);
+    let lib = NocLibrary::lp65();
+    let mut routed = 0u32;
+    let mut soft_steered = 0u32;
+    test_runner::run(
+        &ProptestConfig::with_cases(48),
+        "reused_allocator_matches_fresh_at_soft_thresholds",
+        |rng| {
+            let mut reused = PathAllocator::new();
+            for ((soc, comm), max_ill, max_switch, per_layer) in designs.generate(rng) {
+                let g = CommGraph::new(&soc, &comm);
+                let (attach, switch_layer, est) = slotted_connectivity(&soc, per_layer);
+                let core_layers: Vec<u32> = soc.cores.iter().map(|c| c.layer).collect();
+                let cfg = PathConfig::new(max_ill, max_switch, 400.0);
+                let route = |alloc: &mut PathAllocator, cfg: &PathConfig| {
+                    alloc.compute_paths(
+                        &g, &attach, &switch_layer, &est, &core_layers, soc.layers, &lib, cfg,
+                        1.0,
+                    )
+                };
+
+                let before = reused.stats();
+                let again = route(&mut reused, &cfg);
+                let mut fresh_alloc = PathAllocator::new();
+                let fresh = route(&mut fresh_alloc, &cfg);
+                prop_assert_eq!(&again, &fresh, "allocator history changed the routing");
+                prop_assert_eq!(
+                    reused.stats() - before,
+                    fresh_alloc.stats(),
+                    "allocator history changed the routing counters"
+                );
+                let Ok(topo) = fresh else { continue };
+                let Ok(again) = again else { continue };
+                routed += 1;
+                for (a, b) in topo.links.iter().zip(&again.links) {
+                    prop_assert_eq!(a.class, b.class);
+                    prop_assert_eq!(&a.flows, &b.flows);
+                }
+                let (pf, pr) = (
+                    evaluate(&topo, &soc, &g, &lib, 400.0),
+                    evaluate(&again, &soc, &g, &lib, 400.0),
+                );
+                prop_assert_eq!(
+                    pf.power.total_mw().to_bits(),
+                    pr.power.total_mw().to_bits(),
+                    "routed power must agree bit for bit"
+                );
+
+                // Regime check: with both soft margins at zero the soft
+                // penalties never apply (the hard limit is hit first).
+                let hard_only =
+                    PathConfig { soft_ill_margin: 0, soft_switch_margin: 0, ..cfg.clone() };
+                if route(&mut PathAllocator::new(), &hard_only).as_ref() != Ok(&topo) {
+                    soft_steered += 1;
+                }
+            }
+            Ok::<(), TestCaseError>(())
+        },
+    );
+    assert!(routed >= 24, "only {routed} designs routed: the budgets are too tight to test");
+    assert!(soft_steered > 0, "the soft penalties never changed a route in {routed} designs");
 }

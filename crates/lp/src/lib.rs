@@ -7,8 +7,8 @@
 //! package; this crate rebuilds the needed capability:
 //!
 //! * [`Problem`] — a general minimization LP over non-negative variables with
-//!   `≤` / `≥` / `=` constraints, solved by a dense **two-phase primal
-//!   simplex** with Bland's anti-cycling rule ([`Problem::solve`]).
+//!   `≤` / `≥` / `=` constraints, solved by a **two-phase primal simplex**
+//!   with Bland's anti-cycling rule ([`Problem::solve`]).
 //! * [`SolverState`] — a persistent solver state for *sequences* of related
 //!   LPs: [`Problem::solve_from`] keeps the tableau buffers and the previous
 //!   optimal basis across solves, re-entering phase 2 directly (or running
@@ -29,9 +29,16 @@
 //!
 //! The LPs arising in topology synthesis are small — a few hundred variables
 //! for the paper's largest 65-core design ("even for big applications … the
-//! optimal solution is obtained in few seconds", §VII) — so a dense tableau
-//! is the right tool, and the per-candidate cost is dominated by simplex
-//! pivots, which is exactly what the warm starts cut.
+//! optimal solution is obtained in few seconds", §VII) — so the solver keeps
+//! a flat row-major tableau: structural columns, one slack or surplus per
+//! inequality, artificial columns only for the rows that start on one (the
+//! `≥` / `=` rows once each rhs is made non-negative), then the rhs. The
+//! per-candidate cost is dominated by simplex pivots, which the warm starts
+//! cut in number and which stay cheap each: a pivot eliminates only over
+//! the nonzero entries of its row, and stops updating artificial columns
+//! once phase 1 is over. None of this changes a result bit against the
+//! textbook dense tableau (one artificial per row, full-row eliminations);
+//! the crate's `reference_simplex` test keeps that tableau as an oracle.
 //!
 //! # Example
 //!

@@ -1,10 +1,13 @@
-//! The simplex solver subsystem: the [`Problem`] model, the dense tableau
-//! ([`tableau`]), basis bookkeeping and warm-start snapshots ([`basis`]),
-//! the primal/dual pivot loops ([`pricing`]) and the persistent
-//! [`SolverState`] warm-start machinery ([`warm`]).
+//! The simplex solver subsystem: the [`Problem`] model, the tableau
+//! ([`tableau`]: flat row-major storage, artificial columns only where a
+//! row needs one, sparse pivot eliminations), basis bookkeeping and
+//! warm-start snapshots ([`basis`]), the primal/dual pivot loops
+//! ([`pricing`]) and the persistent [`SolverState`] warm-start machinery
+//! ([`warm`]).
 //!
 //! One-shot callers use [`Problem::solve`] — a cold two-phase primal
-//! simplex, unchanged from the original single-file implementation. Callers
+//! simplex whose pivot sequence and results are bit-identical to the
+//! original dense single-file implementation. Callers
 //! that solve *sequences* of related problems keep a [`SolverState`] and
 //! call [`Problem::solve_from`]: the state retains the tableau buffers and
 //! the previous optimal basis, and re-enters phase 2 (or runs the dual

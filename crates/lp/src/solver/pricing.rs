@@ -24,8 +24,11 @@ impl Pricing {
     }
 }
 
+/// The pivot cap of one simplex run; Bland's rule takes over after half of
+/// it. Sized from the logical column count (one artificial per row), not
+/// from the columns the tableau actually stores.
 fn max_iterations(tab: &Tableau) -> u32 {
-    u32::try_from(200 + 50 * (tab.rows() + tab.n_total)).unwrap_or(u32::MAX)
+    u32::try_from(200 + 50 * (tab.rows() + tab.logical_cols)).unwrap_or(u32::MAX)
 }
 
 /// Accumulates `z_j = Σ_i cost[basis[i]] · a[i][j]` for `j < col_limit`,

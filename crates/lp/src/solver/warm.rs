@@ -166,6 +166,9 @@ impl SolverState {
     /// answer, including genuine infeasibility/unboundedness errors).
     fn try_warm(&mut self, p: &Problem) -> Option<Solution> {
         self.tab.rebuild(p);
+        // The warm path replays and prices structural and slack columns
+        // only, so the artificials are dead from the start.
+        self.tab.retire_artificials();
         let replayed = self.saved.replay(&mut self.tab, &mut self.claimed)?;
         self.pricing.reset(self.tab.n_total);
         let num_vars = p.num_vars();
@@ -236,6 +239,8 @@ impl SolverState {
             if obj > 1e-7 {
                 return Err(self.record_failure(iterations, SolveError::Infeasible));
             }
+            // Nothing below reads an artificial column again.
+            self.tab.retire_artificials();
             // Pivot remaining artificials out of the basis if possible.
             for i in 0..m {
                 if self.tab.basis.rows[i] >= art_start {

@@ -75,7 +75,7 @@ impl GroupAttraction {
 /// directions — only the total weight crossing a block boundary matters to
 /// the min-cut objective.
 ///
-/// A graph may additionally carry a [`GroupAttraction`]: an implicit
+/// A graph may additionally carry a `GroupAttraction`: an implicit
 /// complete graph per vertex group whose uniform edge weight joins the cut
 /// objective analytically (see [`Self::set_group_attraction`]). Stored edge
 /// weights are non-negative as added, but same-group edges are compensated
@@ -194,7 +194,7 @@ impl WeightedGraph {
 
     /// Accumulated weight of the undirected edge `a — b` (0.0 if absent).
     ///
-    /// On a graph with a [`GroupAttraction`] this is the *stored* (possibly
+    /// On a graph with a `GroupAttraction` this is the *stored* (possibly
     /// compensated) weight; the implicit same-group attraction is not
     /// included.
     #[must_use]
@@ -242,7 +242,7 @@ impl WeightedGraph {
 
     /// Total weight crossing the block boundaries of `assignment`: every
     /// stored edge whose endpoints have different labels (counted once),
-    /// plus the implicit [`GroupAttraction`] weight of every split
+    /// plus the implicit `GroupAttraction` weight of every split
     /// same-group pair when an attraction is installed.
     ///
     /// # Panics
