@@ -51,7 +51,9 @@
 //!   [`anneal`]) against 2 and 4 exchange-coupled replicas at the same
 //!   per-replica budget — aggregate SA iterations per second, the
 //!   replica-exchange acceptance rate and the best-cost trajectory over
-//!   escalating iteration budgets.
+//!   escalating iteration budgets; plus the layout path's anneal
+//!   (`tempering.layout_r2`): one layer-shaped, net-free, constrained
+//!   2-replica run, reported as iterations per second per replica.
 
 use crate::{Artifact, Effort};
 use std::fmt::Write as _;
@@ -64,20 +66,21 @@ use sunfloor_core::place::PlacementSolver;
 use sunfloor_core::synthesis::{SynthesisConfig, SynthesisEngine};
 use sunfloor_core::topology::Topology;
 use sunfloor_floorplan::{
-    anneal, anneal_tempered_with_stats, AnnealConfig, Block, Net, PackScratch, SequencePair,
+    anneal, anneal_tempered_constrained_with_stats, anneal_tempered_with_stats, AnnealConfig,
+    Block, ConstrainedInput, IdealTarget, Net, PackScratch, PlacedBlock, SequencePair,
     TemperConfig,
 };
 use sunfloor_models::NocLibrary;
 
 /// File the measurements are persisted to (repo root when run via
 /// `cargo run -p sunfloor-bench --bin experiments -- bench`).
-pub const BENCH_ARTIFACT_PATH: &str = "BENCH_phase8.json";
+pub const BENCH_ARTIFACT_PATH: &str = "BENCH_phase9.json";
 
 /// The committed previous-phase baseline the gate diffs against.
-pub const BENCH_BASELINE_PATH: &str = "BENCH_phase7.json";
+pub const BENCH_BASELINE_PATH: &str = "BENCH_phase8.json";
 
 /// The phase number written into the artifact.
-const PHASE: u32 = 8;
+const PHASE: u32 = 9;
 
 /// Times `f` over `reps` repetitions (after one warm-up call) and returns
 /// seconds per repetition.
@@ -353,12 +356,13 @@ fn try_bench_hot_paths(effort: Effort) -> Result<Artifact, String> {
     // tentpole): serial chain (one replica is bit-identical to `anneal`)
     // vs 2 and 4 exchange-coupled replicas at the same per-replica
     // budget. Aggregate throughput is `iterations · replicas / wall`; the
-    // replicas run on scoped threads, so on a ≥4-core machine the
-    // 4-replica aggregate should approach 4× the serial chain. On fewer
-    // cores the replicas time-share — the gap between the aggregate and
-    // `cores × serial` throughput is then the exchange-barrier overhead,
-    // not a property of the algorithm (the result is bit-identical either
-    // way), which is why the artifact records `cores` alongside.
+    // replicas run on the calling thread plus scoped threads, so on a
+    // ≥4-core machine the 4-replica aggregate should approach 4× the
+    // serial chain. On fewer cores the replicas time-share — the gap
+    // between the aggregate and `cores × serial` throughput is then the
+    // exchange-barrier overhead, not a property of the algorithm (the
+    // result is bit-identical either way), which is why the artifact
+    // records `cores` alongside.
     let temper_blocks: Vec<Block> = (0..65)
         .map(|i| {
             Block::new(
@@ -415,6 +419,9 @@ fn try_bench_hot_paths(effort: Effort) -> Result<Artifact, String> {
             (budget, s.best_cost)
         })
         .collect();
+
+    let (layout_blocks, layout_iters, layout_s) = time_layout_anneal(sa_reps * 4);
+    let layout_iters_per_s = f64::from(layout_iters) / layout_s;
 
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"phase\": {PHASE},");
@@ -505,7 +512,13 @@ fn try_bench_hot_paths(effort: Effort) -> Result<Artifact, String> {
             if i + 1 < trajectory.len() { "," } else { "" }
         );
     }
-    let _ = writeln!(json, "    ]");
+    let _ = writeln!(json, "    ],");
+    let _ = writeln!(json, "    \"layout_r2\": {{");
+    let _ = writeln!(json, "      \"blocks\": {layout_blocks},");
+    let _ = writeln!(json, "      \"iterations_per_replica\": {layout_iters},");
+    let _ = writeln!(json, "      \"per_run_s\": {layout_s:.6},");
+    let _ = writeln!(json, "      \"per_replica_iters_per_s\": {layout_iters_per_s:.0}");
+    let _ = writeln!(json, "    }}");
     let _ = writeln!(json, "  }}");
     json.push_str("}\n");
 
@@ -518,4 +531,46 @@ fn try_bench_hot_paths(effort: Effort) -> Result<Artifact, String> {
         title: "Hot-path wall-clock baseline (media26)".to_string(),
         body: json,
     })
+}
+
+/// Times the tempered layout path's anneal: one layer of 22 order-frozen
+/// cores plus 7 NoC components pulled toward their ideal centers, no
+/// nets, 2 replicas at the engine's per-layer budget. Returns the block
+/// count, the per-replica iterations and the seconds per run.
+fn time_layout_anneal(reps: u32) -> (usize, u32, f64) {
+    let mut layer: Vec<PlacedBlock> = (0..22u32)
+        .map(|i| {
+            let b = Block::new(
+                format!("core{i}"),
+                1.2 + f64::from(i % 4) * 0.35,
+                1.1 + f64::from(i % 5) * 0.3,
+            );
+            PlacedBlock::new(b, f64::from(i % 6) * 2.6, f64::from(i / 6) * 2.4)
+        })
+        .collect();
+    let mut ideal: Vec<IdealTarget> = vec![None; layer.len()];
+    for k in 0..7u32 {
+        let side = if k % 3 == 0 { 0.9 } else { 0.5 };
+        let (cx, cy) = (1.3 + f64::from(k) * 1.9, 1.1 + f64::from(k % 4) * 2.3);
+        layer.push(PlacedBlock::new(
+            Block::new(format!("sw{k}"), side, side),
+            cx - side / 2.0,
+            cy - side / 2.0,
+        ));
+        ideal.push(Some((cx, cy, 2.0)));
+    }
+    let input = ConstrainedInput {
+        seed: SequencePair::from_placement(&layer),
+        blocks: layer.into_iter().map(|p| p.block).collect(),
+        ideal,
+        fixed_order_count: 22,
+    };
+    let iterations = 8_000u32;
+    let cfg = TemperConfig {
+        base: AnnealConfig::default().with_iterations(iterations).with_seed(0x1A7E),
+        replicas: 2,
+        ..TemperConfig::default()
+    };
+    let s = time_per_rep(reps, || anneal_tempered_constrained_with_stats(&input, &[], &cfg));
+    (input.blocks.len(), iterations, s)
 }

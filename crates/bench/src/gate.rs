@@ -75,6 +75,16 @@ pub const TRACKED_METRICS: &[TrackedMetric] = &[
     // against the phase-5 baseline, self-activating once BENCH_phase6.json
     // becomes the baseline.
     TrackedMetric::gated("tempering.aggregate_iters_per_s_r4", Direction::HigherIsBetter),
+    // The serial chain's throughput, gated since phase 9 (it had slid
+    // 380k -> 246k iterations/s from phase 6 to phase 7 unflagged).
+    TrackedMetric::gated("tempering.serial_iters_per_s", Direction::HigherIsBetter),
+    // Present from phase 9 on (the tempered layout path's net-free
+    // anneal): skipped against the phase-8 baseline, self-activating once
+    // BENCH_phase9.json becomes the baseline.
+    TrackedMetric::gated(
+        "tempering.layout_r2.per_replica_iters_per_s",
+        Direction::HigherIsBetter,
+    ),
     // The replica-scaling ratio is a property of the runner's core count
     // (a 1-core runner time-shares the replicas and reports ~1.0): tracked
     // so re-baselining surfaces the drift, but never a gate failure.
@@ -351,10 +361,10 @@ mod tests {
         let report = compare(BASELINE, BASELINE, 0.30);
         assert!(!report.regressed(), "{}", report.render());
         // The phase-3 baseline predates the cold/θ partition metrics, the
-        // phase-5 warm placement-LP metrics and the phase-6/7 tempering
-        // metrics, so those six are skipped; everything else compares
+        // phase-5 warm placement-LP metrics and the phase-6/7/9 tempering
+        // metrics, so those eight are skipped; everything else compares
         // equal.
-        assert_eq!(report.deltas.len(), TRACKED_METRICS.len() - 6);
+        assert_eq!(report.deltas.len(), TRACKED_METRICS.len() - 8);
         assert_eq!(
             report.skipped,
             vec![
@@ -363,6 +373,8 @@ mod tests {
                 "placement_lp_warm_k8_s".to_string(),
                 "placement_lp_chain.warm_s".to_string(),
                 "tempering.aggregate_iters_per_s_r4".to_string(),
+                "tempering.serial_iters_per_s".to_string(),
+                "tempering.layout_r2.per_replica_iters_per_s".to_string(),
                 "tempering.aggregate_speedup_r4".to_string()
             ]
         );

@@ -862,10 +862,12 @@ impl<'a> SynthesisEngine<'a> {
         // Physical insertion + final evaluation: the shove-insertion
         // routine by default, or the tempered constrained annealer when
         // `anneal_replicas` is set. The replica pool is worker-aware: a
+        // serial sweep gives each replica a lane (the candidate's own
+        // thread is lane 0, so `replicas − 1` threads are spawned); a
         // parallel sweep already saturates the machine with candidate
-        // workers, so each anneal then multiplexes its replicas onto one
-        // thread (the *result* is identical either way — threads only
-        // schedule).
+        // workers, so each anneal then steps all its replicas on the
+        // worker's thread (the *result* is identical either way — lanes
+        // only schedule).
         let layout = if cfg.run_layout {
             if cfg.anneal_replicas >= 1 {
                 let temper = sunfloor_floorplan::TemperConfig {

@@ -429,7 +429,9 @@ impl<'a> ReplicaState<'a> {
 
     /// Runs `iters` annealing iterations, advancing the RNG, the accepted
     /// state and the base temperature. Acceptance tests use the effective
-    /// temperature `temp * ladder`.
+    /// temperature `temp * ladder`. A run without nets skips the
+    /// moved-block scan and the net cache: its wirelength term is `0.0`
+    /// either way.
     // sf: hot-path
     pub(crate) fn step(&mut self, iters: u32) {
         if !self.steppable() {
@@ -464,22 +466,32 @@ impl<'a> ReplicaState<'a> {
                     }
                 }
             };
-            // The only block whose footprint can differ from the accepted
-            // state is the one a rotation move just flipped.
-            let rotated_block = match mv {
-                Move::Rot(b) if self.w[b] != self.h[b] => Some(b),
-                _ => None,
-            };
-
             let bb =
                 self.sp.pack_coords_ranked(&self.pp, &self.nn, &self.w, &self.h, &mut self.scratch);
-            // Only nets touching a block whose position or footprint
-            // changed need re-measuring.
-            let (scratch, cur_x, cur_y) = (&self.scratch, &self.cur_x, &self.cur_y);
-            let moved = (0..n).filter(|&b| {
-                scratch.x[b] != cur_x[b] || scratch.y[b] != cur_y[b] || rotated_block == Some(b)
-            });
-            self.cache.update_for_move(moved, self.nets, &scratch.x, &scratch.y, &self.w, &self.h);
+            if !self.nets.is_empty() {
+                // Only nets touching a block whose position or footprint
+                // changed need re-measuring. The only block whose footprint
+                // can differ from the accepted state is the one a rotation
+                // move just flipped.
+                let rotated_block = match mv {
+                    Move::Rot(b) if self.w[b] != self.h[b] => Some(b),
+                    _ => None,
+                };
+                let (scratch, cur_x, cur_y) = (&self.scratch, &self.cur_x, &self.cur_y);
+                let moved = (0..n).filter(|&b| {
+                    scratch.x[b] != cur_x[b]
+                        || scratch.y[b] != cur_y[b]
+                        || rotated_block == Some(b)
+                });
+                self.cache.update_for_move(
+                    moved,
+                    self.nets,
+                    &scratch.x,
+                    &scratch.y,
+                    &self.w,
+                    &self.h,
+                );
+            }
             let cand_cost = cost_of(
                 &self.scratch.x,
                 &self.scratch.y,
@@ -538,11 +550,6 @@ impl<'a> ReplicaState<'a> {
     /// The shared base temperature (before the ladder multiplier).
     pub(crate) fn base_temp(&self) -> f64 {
         self.temp
-    }
-
-    /// This replica's ladder multiplier.
-    pub(crate) fn ladder(&self) -> f64 {
-        self.ladder
     }
 
     /// Reassigns the ladder multiplier (a tempering swap).

@@ -22,18 +22,19 @@
 //! [`anneal`] runs one simulated-annealing chain; it is cheap and fully
 //! deterministic per seed, and remains the right tool for small block
 //! sets. [`anneal_tempered`] runs N exchange-coupled chains ("replicas")
-//! at staggered temperatures on scoped threads — the standard SA scale-up
-//! for large floorplans, spending an `N×` aggregate move budget in
-//! roughly the wall-clock of one chain. Each replica owns its RNG
-//! (seeded `rng_seed + replica_index`) and its own incremental
-//! pack/net-cache state; every `swap_interval` iterations the replicas
-//! meet at a barrier and adjacent temperature rungs attempt to swap.
+//! at staggered temperatures on the calling thread and scoped threads —
+//! the standard SA scale-up for large floorplans, spending an `N×`
+//! aggregate move budget in roughly the wall-clock of one chain. Each
+//! replica owns its RNG (seeded `rng_seed + replica_index`) and its own
+//! incremental pack/net-cache state; every `swap_interval` iterations the
+//! replicas meet at a barrier and adjacent temperature rungs attempt to
+//! swap.
 //!
-//! The determinism contract for swap rounds: swaps are a
-//! barrier-synchronized reduction over the replicas' published energies,
-//! evaluated by a single coordinator in ladder order with its own
-//! seed-derived RNG. The final floorplan is therefore a pure function of
-//! the [`TemperConfig`] (which includes the replica count) — bit-for-bit
+//! The determinism contract for swap rounds: each round is one barrier
+//! over the replicas' published energies, after which every lane replays
+//! the same ladder-order decisions with its own copy of the seed-derived
+//! swap RNG. The final floorplan is therefore a pure function of the
+//! [`TemperConfig`] (which includes the replica count) — bit-for-bit
 //! independent of thread count and OS scheduling, and with one replica it
 //! equals the serial [`anneal`] result exactly. See [`tempering`](anneal_tempered)
 //! for details.

@@ -19,18 +19,23 @@
 //! * Replica `i` owns its own `StdRng`, seeded `rng_seed + i`, and its own
 //!   incremental pack/net-cache state. No replica ever reads another
 //!   replica's RNG or placement.
-//! * Swap rounds are barrier-synchronized reductions: every replica
-//!   publishes its energy, *one* designated worker evaluates all pairs in
-//!   ladder order with a dedicated swap RNG (seeded from `rng_seed`
-//!   alone), and only then do replicas resume. The swap decisions depend
-//!   on energies and the swap RNG — never on which thread stepped which
-//!   replica or in what order they reached the barrier.
+//! * Replicas are stepped on lanes: lane 0 is the calling thread, the
+//!   others are scoped threads. Each swap round costs one barrier. Every
+//!   replica publishes its energy before the barrier; after it, *every*
+//!   lane replays the same round from the published energies with its own
+//!   copy of the swap RNG (seeded from `rng_seed` alone) and of the rung
+//!   holders, and moves its own replicas to their new rungs. The replays
+//!   see the same inputs and make the same decisions, which never depend
+//!   on which lane stepped which replica or in what order lanes reached
+//!   the barrier.
 //! * The winner is the lowest best-seen cost, ties broken by the lowest
 //!   replica index — a strict-less scan in index order.
 //!
 //! `threads` therefore only chooses how replicas are multiplexed onto
-//! workers; `TemperConfig::with_replicas(1)` degenerates to exactly the
-//! serial [`anneal`](crate::anneal) result for the same `AnnealConfig`.
+//! lanes. With one replica there is no exchange partner, so
+//! `TemperConfig::with_replicas(1)` is exactly the serial
+//! [`anneal`](crate::anneal) result for the same `AnnealConfig`: chunked
+//! stepping equals one long run.
 
 use crate::annealer::{AnnealConfig, ConstrainedInput, IdealTarget, ReplicaState};
 use crate::geometry::{Block, Floorplan, Net};
@@ -55,8 +60,9 @@ pub struct TemperConfig {
     /// Temperature ratio between adjacent ladder rungs (> 1); rung `i`
     /// anneals at `stagger^i` times the base schedule.
     pub stagger: f64,
-    /// Worker threads to multiplex replicas onto: `0` means one thread
-    /// per replica. Scheduling only — never affects the result.
+    /// Lanes to multiplex replicas onto: `0` means one lane per replica.
+    /// Lane 0 runs on the calling thread, so a run spawns `lanes − 1`
+    /// threads. Scheduling only — never affects the result.
     pub threads: usize,
 }
 
@@ -80,8 +86,8 @@ impl TemperConfig {
         self
     }
 
-    /// Overrides the worker-thread budget (builder style). `0` restores
-    /// one thread per replica.
+    /// Overrides the lane budget (builder style). `0` restores one lane
+    /// per replica.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -252,80 +258,68 @@ fn run_tempered(
         })
         .collect();
 
-    let mut stats = TemperStats {
-        replicas: r,
-        iterations_total: u64::from(cfg.base.iterations) * r as u64,
-        ..TemperStats::default()
+    let threads = if cfg.threads == 0 { r } else { cfg.threads.clamp(1, r) };
+    let schedule = round_schedule(cfg.base.iterations, cfg.swap_interval.max(1));
+    // Published per-replica energies (f64 bits), double-buffered by round
+    // parity: a lane writes round k+2's values only after every lane has
+    // passed barrier k+1, so no lane is still reading them. `Relaxed`
+    // suffices: `Barrier::wait` synchronizes through its mutex, so every
+    // store before it happens-before every load after it.
+    let energies: [Vec<AtomicU64>; 2] =
+        [0, 1].map(|_| (0..r).map(|_| AtomicU64::new(0)).collect());
+    let barrier = Barrier::new(threads);
+    // Decorrelate the swap stream from the replicas' move streams
+    // (splitmix of the base seed with an odd constant).
+    let swap_seed = cfg.base.rng_seed ^ 0x9E37_79B9_7F4A_7C15;
+
+    // One lane's whole run. After each round's barrier the lane replays
+    // the swap round with its own copies of the swap RNG and the rung
+    // holders, then moves its own replicas to their new rungs. Every lane
+    // makes the same decisions, so the swap counters are the same on all.
+    let run_lane = |mut lane: Vec<(usize, &mut ReplicaState<'_>)>| {
+        let mut rng = StdRng::seed_from_u64(swap_seed);
+        let mut holders: Vec<usize> = (0..r).collect();
+        let (mut attempts, mut accepts) = (0u64, 0u64);
+        for (round, &chunk) in schedule.iter().enumerate() {
+            let published = &energies[round % 2];
+            for (i, rep) in &mut lane {
+                rep.step(chunk);
+                published[*i].store(rep.cur_cost().to_bits(), Ordering::Relaxed);
+            }
+            barrier.wait();
+            // Every replica shares the base temperature; lanes are never
+            // empty (`threads <= r`).
+            let base_temp = lane.first().map_or(0.0, |(_, rep)| rep.base_temp());
+            swap_round(
+                round, &mut rng, &mut holders, published, base_temp, stagger, &mut attempts,
+                &mut accepts,
+            );
+            for (k, &holder) in holders.iter().enumerate() {
+                if let Some((_, rep)) = lane.iter_mut().find(|(i, _)| *i == holder) {
+                    rep.set_ladder(rung(stagger, k));
+                }
+            }
+        }
+        (attempts, accepts)
     };
 
-    if r == 1 {
-        // Degenerate ladder: exactly the serial annealer (same seed, same
-        // schedule, ladder 1.0, no swap rounds).
-        replicas[0].step(cfg.base.iterations);
-    } else {
-        let threads = if cfg.threads == 0 { r } else { cfg.threads.clamp(1, r) };
-        let schedule = round_schedule(cfg.base.iterations, cfg.swap_interval.max(1));
-        // Published per-replica energies and ladder assignments (f64 bits).
-        // The barriers around each swap round order every access, so the
-        // atomics only provide race-free storage, not synchronization.
-        let energies: Vec<AtomicU64> = (0..r).map(|_| AtomicU64::new(0)).collect();
-        let ladders: Vec<AtomicU64> =
-            replicas.iter().map(|rep| AtomicU64::new(rep.ladder().to_bits())).collect();
-        let swap_attempts = AtomicU64::new(0);
-        let swap_accepts = AtomicU64::new(0);
-        let barrier = Barrier::new(threads);
-        // Decorrelate the coordinator's swap stream from the replicas'
-        // move streams (splitmix of the base seed with an odd constant).
-        let swap_seed = cfg.base.rng_seed ^ 0x9E37_79B9_7F4A_7C15;
-
-        // Static assignment of replicas to worker lanes (round-robin).
-        // Any static assignment would do: results never depend on which
-        // lane steps which replica, only the wall-clock does.
-        let mut lanes: Vec<Vec<(usize, &mut ReplicaState<'_>)>> =
-            (0..threads).map(|_| Vec::new()).collect();
-        for (i, rep) in replicas.iter_mut().enumerate() {
-            lanes[i % threads].push((i, rep));
-        }
-
-        std::thread::scope(|s| {
-            let (schedule, energies, ladders) = (&schedule, &energies, &ladders);
-            let (barrier, swap_attempts, swap_accepts) = (&barrier, &swap_attempts, &swap_accepts);
-            for (tid, mut lane) in lanes.into_iter().enumerate() {
-                s.spawn(move || {
-                    // Lane 0 (which owns replica 0) doubles as the swap
-                    // coordinator between the two barriers of each round.
-                    let mut coordinator = (tid == 0).then(|| {
-                        (StdRng::seed_from_u64(swap_seed), (0..r).collect::<Vec<usize>>(), 0u64, 0u64)
-                    });
-                    for (round, &chunk) in schedule.iter().enumerate() {
-                        for (i, rep) in &mut lane {
-                            rep.step(chunk);
-                            energies[*i].store(rep.cur_cost().to_bits(), Ordering::Relaxed);
-                        }
-                        barrier.wait();
-                        if let Some((rng, holders, attempts, accepts)) = coordinator.as_mut() {
-                            let base_temp = lane[0].1.base_temp();
-                            swap_round(
-                                round, rng, holders, energies, ladders, base_temp, stagger,
-                                attempts, accepts,
-                            );
-                        }
-                        barrier.wait();
-                        for (i, rep) in &mut lane {
-                            rep.set_ladder(f64::from_bits(ladders[*i].load(Ordering::Relaxed)));
-                        }
-                    }
-                    if let Some((_, _, attempts, accepts)) = coordinator {
-                        swap_attempts.store(attempts, Ordering::Relaxed);
-                        swap_accepts.store(accepts, Ordering::Relaxed);
-                    }
-                });
-            }
-        });
-
-        stats.swap_attempts = swap_attempts.load(Ordering::Relaxed);
-        stats.swap_accepts = swap_accepts.load(Ordering::Relaxed);
+    // Static round-robin assignment of replicas to lanes; lane 0 runs on
+    // the calling thread. Any static assignment would do: results never
+    // depend on which lane steps which replica, only the wall-clock does.
+    let mut lanes: Vec<Vec<(usize, &mut ReplicaState<'_>)>> =
+        (0..threads).map(|_| Vec::new()).collect();
+    for (i, rep) in replicas.iter_mut().enumerate() {
+        lanes[i % threads].push((i, rep));
     }
+    let mut lanes = lanes.into_iter();
+    let first = lanes.next().unwrap_or_default();
+    let (swap_attempts, swap_accepts) = std::thread::scope(|s| {
+        let run_lane = &run_lane;
+        for lane in lanes {
+            s.spawn(move || run_lane(lane));
+        }
+        run_lane(first)
+    });
 
     // Deterministic reduction: lowest best cost wins, ties to the lowest
     // replica index (strict-less scan in index order).
@@ -335,15 +329,21 @@ fn run_tempered(
             best = i;
         }
     }
-    stats.best_replica = best;
-    stats.best_cost = replicas[best].best_cost();
+    let stats = TemperStats {
+        replicas: r,
+        swap_attempts,
+        swap_accepts,
+        best_replica: best,
+        best_cost: replicas[best].best_cost(),
+        iterations_total: u64::from(cfg.base.iterations) * r as u64,
+    };
     (replicas[best].build_best(), stats)
 }
 
-/// One replica-exchange round, run by the coordinator alone between the
-/// two barriers. Rung pairs `(k, k+1)` are visited in ladder order —
-/// even-based pairs on even rounds, odd-based on odd rounds — and each
-/// exchange is accepted with `min(1, exp((E_cold − E_hot)·(1/T_cold −
+/// One replica-exchange round, replayed identically by every lane after
+/// the round's barrier. Rung pairs `(k, k+1)` are visited in ladder
+/// order — even-based pairs on even rounds, odd-based on odd rounds — and
+/// each exchange is accepted with `min(1, exp((E_cold − E_hot)·(1/T_cold −
 /// 1/T_hot)))`. `holders[k]` tracks which replica currently anneals on
 /// rung `k`, so pairing stays adjacent-in-temperature as assignments
 /// migrate.
@@ -354,7 +354,6 @@ fn swap_round(
     rng: &mut StdRng,
     holders: &mut [usize],
     energies: &[AtomicU64],
-    ladders: &[AtomicU64],
     base_temp: f64,
     stagger: f64,
     attempts: &mut u64,
@@ -372,8 +371,6 @@ fn swap_round(
         let d = (e_a - e_b) * (1.0 / t_a - 1.0 / t_b);
         *attempts += 1;
         if d >= 0.0 || rng.gen_bool(d.exp().clamp(0.0, 1.0)) {
-            ladders[a].store(rung(stagger, k + 1).to_bits(), Ordering::Relaxed);
-            ladders[b].store(rung(stagger, k).to_bits(), Ordering::Relaxed);
             holders.swap(k, k + 1);
             *accepts += 1;
         }

@@ -1,11 +1,13 @@
 //! Property tests for the floorplanning substrate: sequence-pair packing is
 //! always legal, insertion never leaves overlap, the annealer is
-//! deterministic and never produces an illegal plan.
+//! deterministic and never produces an illegal plan, and the annealer's
+//! net-free fast path equals the full net-cache path.
 
 use proptest::prelude::*;
 use sunfloor_floorplan::{
-    anneal, insert_components, AnnealConfig, Block, InsertRequest, PackScratch, PlacedBlock,
-    SequencePair,
+    anneal, anneal_constrained, anneal_tempered_constrained_with_stats, insert_components,
+    AnnealConfig, Block, ConstrainedInput, IdealTarget, InsertRequest, Net, PackScratch,
+    PlacedBlock, SequencePair, TemperConfig,
 };
 
 fn arb_blocks(max: usize) -> impl Strategy<Value = Vec<Block>> {
@@ -26,8 +28,74 @@ fn arb_packing_input() -> impl Strategy<Value = (Vec<Block>, Vec<usize>, Vec<usi
     })
 }
 
+/// A layer-shaped constrained input: `cores` order-frozen cores on a
+/// grid plus one small component per `(side, x, y)` entry, seeded on its
+/// ideal center and pulled there with weight 2 per mm.
+fn layer_input(cores: &[(f64, f64)], components: &[(f64, f64, f64)]) -> ConstrainedInput {
+    let mut placed: Vec<PlacedBlock> = cores
+        .iter()
+        .enumerate()
+        .map(|(i, &(w, h))| {
+            PlacedBlock::new(
+                Block::new(format!("c{i}"), w, h),
+                (i % 4) as f64 * 4.5,
+                (i / 4) as f64 * 4.5,
+            )
+        })
+        .collect();
+    let mut ideal: Vec<IdealTarget> = vec![None; cores.len()];
+    for (k, &(side, x, y)) in components.iter().enumerate() {
+        let b = Block::new(format!("sw{k}"), side, side);
+        placed.push(PlacedBlock::new(b, x - side / 2.0, y - side / 2.0));
+        ideal.push(Some((x, y, 2.0)));
+    }
+    ConstrainedInput {
+        seed: SequencePair::from_placement(&placed),
+        blocks: placed.into_iter().map(|p| p.block).collect(),
+        ideal,
+        fixed_order_count: cores.len(),
+    }
+}
+
+fn arb_layer_input() -> impl Strategy<Value = ConstrainedInput> {
+    (
+        proptest::collection::vec((0.8f64..3.0, 0.8f64..3.0), 2..10),
+        proptest::collection::vec((0.3f64..1.0, 0.0f64..14.0, 0.0f64..10.0), 1..6),
+    )
+        .prop_map(|(cores, components)| layer_input(&cores, &components))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The annealer skips the moved-block scan and the net cache when a
+    /// run has no nets. Zero-weight two-pin nets touching every block
+    /// contribute exactly `0.0` to the cost but drive the full net-cache
+    /// path, so both runs must agree bit for bit: serial and tempered
+    /// floorplans, and the tempered run's stats.
+    #[test]
+    fn net_free_anneal_matches_zero_weight_nets(
+        input in arb_layer_input(),
+        seed in 0u64..1_000,
+        replicas in 1usize..4,
+        threads in 0usize..3,
+    ) {
+        let n = input.blocks.len();
+        let zero_nets: Vec<Net> = (0..n).map(|i| Net::two_pin(i, (i + 1) % n, 0.0)).collect();
+        let base = AnnealConfig::default().with_iterations(600).with_seed(seed);
+        prop_assert_eq!(
+            anneal_constrained(&input, &[], &base),
+            anneal_constrained(&input, &zero_nets, &base)
+        );
+        let cfg = TemperConfig { base, swap_interval: 100, ..TemperConfig::default() }
+            .with_replicas(replicas)
+            .with_threads(threads);
+        let fast = anneal_tempered_constrained_with_stats(&input, &[], &cfg);
+        let full = anneal_tempered_constrained_with_stats(&input, &zero_nets, &cfg);
+        prop_assert_eq!(fast.0, full.0);
+        prop_assert_eq!(fast.1.best_cost.to_bits(), full.1.best_cost.to_bits());
+        prop_assert_eq!(fast.1, full.1);
+    }
 
     /// Any sequence pair packs to an overlap-free placement whose bounding
     /// box can hold every block.

@@ -64,6 +64,11 @@ pub enum ConfigRecipe {
     TinyWindow,
     /// Valid sweep routed through the tempered layout annealer.
     Tempered,
+    /// The tempered recipe on an odd, 3-replica ladder. The serial sweep
+    /// gives each anneal three lanes that each replay every swap round;
+    /// the `Jobs(3)` sweep steps all three replicas on one lane, so the
+    /// differential compares replayed rounds with a single lane's.
+    TemperedOddLadder,
     /// Inverted θ window — must be a typed [`ConfigError`].
     DegenerateTheta,
     /// Unbounded θ window (`theta_max = ∞`) — must be rejected, an
@@ -88,11 +93,11 @@ impl ConfigRecipe {
         match self {
             Self::Standard => base.switch_count_range(2, 4).build(),
             Self::TinyWindow => base.switch_count_range(1, 1).max_ill(1).build(),
-            Self::Tempered => base
+            Self::Tempered | Self::TemperedOddLadder => base
                 .switch_count_range(2, 3)
                 .mode(SynthesisMode::Phase1Only)
                 .run_layout(true)
-                .anneal_replicas(2)
+                .anneal_replicas(if self == Self::Tempered { 2 } else { 3 })
                 .build(),
             Self::DegenerateTheta => {
                 base.switch_count_range(2, 4).theta_schedule(9.0, 1.0, 3.0).build()
@@ -109,7 +114,10 @@ impl ConfigRecipe {
     /// Whether this recipe is expected to build (`Ok`) at all.
     #[must_use]
     pub fn is_valid(self) -> bool {
-        matches!(self, Self::Standard | Self::TinyWindow | Self::Tempered)
+        matches!(
+            self,
+            Self::Standard | Self::TinyWindow | Self::Tempered | Self::TemperedOddLadder
+        )
     }
 }
 
@@ -144,9 +152,10 @@ fn sample_recipe(rng: &mut StdRng) -> ConfigRecipe {
     // up thousands of times over a 10k-case run.
     let roll = rng.gen_range(0..100u32);
     match roll {
-        0..=64 => ConfigRecipe::Standard,
-        65..=79 => ConfigRecipe::TinyWindow,
-        80..=84 => ConfigRecipe::Tempered,
+        0..=61 => ConfigRecipe::Standard,
+        62..=76 => ConfigRecipe::TinyWindow,
+        77..=81 => ConfigRecipe::Tempered,
+        82..=84 => ConfigRecipe::TemperedOddLadder,
         85..=87 => ConfigRecipe::DegenerateTheta,
         88..=90 => ConfigRecipe::UnboundedTheta,
         91..=93 => ConfigRecipe::NanAlpha,
@@ -269,6 +278,7 @@ mod tests {
             ConfigRecipe::Standard,
             ConfigRecipe::TinyWindow,
             ConfigRecipe::Tempered,
+            ConfigRecipe::TemperedOddLadder,
             ConfigRecipe::DegenerateTheta,
             ConfigRecipe::UnboundedTheta,
             ConfigRecipe::NanAlpha,

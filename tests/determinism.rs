@@ -6,8 +6,9 @@ use sunfloor_benchmarks::{media26, pipeline_seeded, tvopd_seeded};
 use sunfloor_core::spec::MessageType;
 use sunfloor_core::synthesis::{SynthesisConfig, SynthesisEngine, SynthesisOutcome};
 use sunfloor_floorplan::{
-    anneal, anneal_tempered, anneal_tempered_with_stats, AnnealConfig, Block, Floorplan, Net,
-    TemperConfig,
+    anneal, anneal_tempered, anneal_tempered_constrained_with_stats, anneal_tempered_with_stats,
+    AnnealConfig, Block, ConstrainedInput, Floorplan, IdealTarget, Net, PlacedBlock,
+    SequencePair, TemperConfig, TemperStats,
 };
 
 fn run(cfg: SynthesisConfig) -> SynthesisOutcome {
@@ -334,6 +335,109 @@ fn golden_tempered_annealer_is_pinned_and_thread_count_free() {
             "tempered floorplan drifted from the pinned result (threads={threads})"
         );
     }
+}
+
+/// A layer-shaped constrained input, the shape `layout_design_tempered`
+/// hands the tempered annealer: 22 order-frozen cores on a loose grid plus
+/// 7 small NoC components (switches and TSV macros) seeded on their ideal
+/// centers, which pull them with weight 2 per mm. No nets.
+fn layer_shaped_input() -> ConstrainedInput {
+    let mut placed: Vec<PlacedBlock> = (0..22)
+        .map(|i| {
+            let b = Block::new(
+                format!("core{i}"),
+                1.2 + f64::from(i % 4) * 0.35,
+                1.1 + f64::from(i % 5) * 0.3,
+            );
+            PlacedBlock::new(b, f64::from(i % 6) * 2.6, f64::from(i / 6) * 2.4)
+        })
+        .collect();
+    let mut ideal: Vec<IdealTarget> = vec![None; placed.len()];
+    for k in 0..7u32 {
+        let side = if k % 3 == 0 { 0.9 } else { 0.5 };
+        let (cx, cy) = (1.3 + f64::from(k) * 1.9, 1.1 + f64::from(k % 4) * 2.3);
+        let b = Block::new(format!("sw{k}"), side, side);
+        placed.push(PlacedBlock::new(b, cx - side / 2.0, cy - side / 2.0));
+        ideal.push(Some((cx, cy, 2.0)));
+    }
+    ConstrainedInput {
+        seed: SequencePair::from_placement(&placed),
+        blocks: placed.into_iter().map(|p| p.block).collect(),
+        ideal,
+        fixed_order_count: 22,
+    }
+}
+
+fn fingerprint_temper_stats(h: &mut u64, s: &TemperStats) {
+    mix(h, s.replicas as u64);
+    mix(h, s.swap_attempts);
+    mix(h, s.swap_accepts);
+    mix(h, s.best_replica as u64);
+    mix_f(h, s.best_cost);
+    mix(h, s.iterations_total);
+}
+
+/// Golden regression for the layout path's annealer: a net-free
+/// constrained tempered run on a layer-shaped input pins the floorplan
+/// *and* the [`TemperStats`] (swap counts, winning replica, best cost) for
+/// 1, 2 and 3 replicas. Each replica count has one fingerprint, asserted
+/// for every thread count — the thread budget only schedules.
+#[test]
+#[cfg_attr(not(all(target_arch = "x86_64", target_os = "linux")), ignore = "golden hashes captured on x86_64-linux; libm last-ulp differences flip SA decisions elsewhere")]
+fn golden_layer_shaped_tempered_layout_is_pinned_and_thread_count_free() {
+    let input = layer_shaped_input();
+    let golden = [
+        (1usize, 0x959f_46d0_7f32_4d12u64),
+        (2, 0x39d5_85bc_5ae2_becb),
+        (3, 0xb0b4_26e0_8961_cb15),
+    ];
+    for (replicas, want) in golden {
+        for threads in [0usize, 1, 2] {
+            let cfg = TemperConfig {
+                base: AnnealConfig::default().with_iterations(4000).with_seed(0x1A7E),
+                replicas,
+                threads,
+                ..TemperConfig::default()
+            };
+            let (plan, stats) = anneal_tempered_constrained_with_stats(&input, &[], &cfg);
+            let mut h = 0xCBF2_9CE4_8422_2325u64;
+            fingerprint_floorplan(&mut h, &plan);
+            fingerprint_temper_stats(&mut h, &stats);
+            assert_eq!(
+                h, want,
+                "layer-shaped tempered layout drifted (replicas={replicas}, threads={threads})"
+            );
+        }
+    }
+}
+
+/// Engine-level golden for the tempered layout path: a seeded pipeline
+/// swept with 2-replica tempered layout, every point's per-layer
+/// floorplans and rewritten switch positions included. The serial sweep
+/// gives each anneal one lane per replica; the parallel sweep below steps
+/// both replicas on one lane and must match it exactly.
+#[test]
+#[cfg_attr(not(all(target_arch = "x86_64", target_os = "linux")), ignore = "golden hashes captured on x86_64-linux; libm last-ulp differences flip SA decisions elsewhere")]
+fn golden_tempered_layout_sweep_is_pinned() {
+    let bench = pipeline_seeded(48, 0);
+    let cfg = |jobs: usize| {
+        SynthesisConfig::builder()
+            .switch_count_range(2, 4)
+            .anneal_replicas(2)
+            .jobs(jobs)
+            .build()
+            .unwrap()
+    };
+    let out = SynthesisEngine::new(&bench.soc, &bench.comm, cfg(1)).unwrap().run();
+    assert_eq!(out.points.len(), 3, "pipeline(48, 0) 2..4 sweep must keep its three points");
+    assert!(out.points.iter().all(|p| p.layout.is_some()), "every point carries a layout");
+    assert_eq!(
+        fingerprint_outcome(&out),
+        0x6280_81aa_554c_74bf,
+        "tempered-layout sweep drifted from the pinned result"
+    );
+    let parallel = SynthesisEngine::new(&bench.soc, &bench.comm, cfg(2)).unwrap().run();
+    assert_eq!(out, parallel, "jobs=2 must reproduce the serial tempered sweep");
 }
 
 /// Quality anchor on the 65-block pipeline-style design: at an equal
