@@ -53,13 +53,18 @@
 //!   replica-exchange acceptance rate and the best-cost trajectory over
 //!   escalating iteration budgets; plus the layout path's anneal
 //!   (`tempering.layout_r2`): one layer-shaped, net-free, constrained
-//!   2-replica run, reported as iterations per second per replica.
+//!   2-replica run, reported as iterations per second per replica;
+//! * the §VII shove-insertion layout (`layout.shove_d36x8`): one
+//!   [`layout_design`] call on a fixed routed and placed 12-switch
+//!   `D_36_8` candidate (both layers' free-space searches and shoves), in
+//!   seconds per call.
 
 use crate::{Artifact, Effort};
 use std::fmt::Write as _;
 use std::time::Instant;
-use sunfloor_benchmarks::media26;
+use sunfloor_benchmarks::{distributed, media26};
 use sunfloor_core::graph::{CommGraph, PartitionCache};
+use sunfloor_core::layout_design;
 use sunfloor_core::paths::{PathAllocator, PathConfig};
 use sunfloor_core::phase1;
 use sunfloor_core::place::PlacementSolver;
@@ -74,13 +79,13 @@ use sunfloor_models::NocLibrary;
 
 /// File the measurements are persisted to (repo root when run via
 /// `cargo run -p sunfloor-bench --bin experiments -- bench`).
-pub const BENCH_ARTIFACT_PATH: &str = "BENCH_phase9.json";
+pub const BENCH_ARTIFACT_PATH: &str = "BENCH_phase10.json";
 
 /// The committed previous-phase baseline the gate diffs against.
-pub const BENCH_BASELINE_PATH: &str = "BENCH_phase8.json";
+pub const BENCH_BASELINE_PATH: &str = "BENCH_phase9.json";
 
 /// The phase number written into the artifact.
-const PHASE: u32 = 9;
+const PHASE: u32 = 10;
 
 /// Times `f` over `reps` repetitions (after one warm-up call) and returns
 /// seconds per repetition.
@@ -422,6 +427,7 @@ fn try_bench_hot_paths(effort: Effort) -> Result<Artifact, String> {
 
     let (layout_blocks, layout_iters, layout_s) = time_layout_anneal(sa_reps * 4);
     let layout_iters_per_s = f64::from(layout_iters) / layout_s;
+    let (shove_switches, shove_blocks, shove_s) = time_shove_layout(route_reps * 5)?;
 
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"phase\": {PHASE},");
@@ -519,6 +525,13 @@ fn try_bench_hot_paths(effort: Effort) -> Result<Artifact, String> {
     let _ = writeln!(json, "      \"per_run_s\": {layout_s:.6},");
     let _ = writeln!(json, "      \"per_replica_iters_per_s\": {layout_iters_per_s:.0}");
     let _ = writeln!(json, "    }}");
+    let _ = writeln!(json, "  }},");
+    let _ = writeln!(json, "  \"layout\": {{");
+    let _ = writeln!(json, "    \"shove_d36x8\": {{");
+    let _ = writeln!(json, "      \"switches\": {shove_switches},");
+    let _ = writeln!(json, "      \"blocks\": {shove_blocks},");
+    let _ = writeln!(json, "      \"per_call_s\": {shove_s:.9}");
+    let _ = writeln!(json, "    }}");
     let _ = writeln!(json, "  }}");
     json.push_str("}\n");
 
@@ -573,4 +586,31 @@ fn time_layout_anneal(reps: u32) -> (usize, u32, f64) {
     };
     let s = time_per_rep(reps, || anneal_tempered_constrained_with_stats(&input, &[], &cfg));
     (input.blocks.len(), iterations, s)
+}
+
+/// Times [`layout_design`] (the §VII shove insertion into both layers) on
+/// the 12-switch `D_36_8` candidate of a layout-free sweep, i.e. routed
+/// and with its switches at their LP positions. Returns the switch count,
+/// the blocks laid out and the seconds per call.
+fn time_shove_layout(reps: u32) -> Result<(usize, usize, f64), String> {
+    let bench = distributed(8);
+    let cfg = SynthesisConfig::builder()
+        .switch_count_range(12, 12)
+        .run_layout(false)
+        .build()
+        .map_err(|e| format!("D_36_8 config rejected: {e}"))?;
+    let outcome = SynthesisEngine::new(&bench.soc, &bench.comm, cfg.clone())
+        .map_err(|e| format!("D_36_8 rejected by the engine: {e}"))?
+        .run();
+    let placed = &outcome
+        .points
+        .iter()
+        .find(|p| p.topology.switch_count() == 12)
+        .ok_or("D_36_8 must keep its 12-switch point: layout.shove_d36x8 is keyed to it")?
+        .topology;
+    let radius = cfg.layout_search_radius_mm;
+    let layout = |topo: &mut Topology| layout_design(topo, &bench.soc, &cfg.library, radius);
+    let blocks = layout(&mut placed.clone()).layers.iter().map(|f| f.blocks.len()).sum();
+    let s = time_per_rep(reps, || layout(&mut placed.clone()));
+    Ok((placed.switch_count(), blocks, s))
 }

@@ -9,6 +9,8 @@
 //! they can re-use the gap created by the earlier components."
 
 use crate::geometry::{Block, Floorplan, PlacedBlock, Rect};
+use std::cell::Cell;
+use std::cmp::Ordering;
 
 /// One NoC component (switch or TSV macro) to insert, with the ideal
 /// *center* position computed by the switch-placement LP.
@@ -48,7 +50,11 @@ pub struct InsertionResult {
 ///
 /// `search_radius` bounds the free-space search around each ideal location —
 /// "the area in which we look for free space is the same for all of the
-/// switches, as it is given as a constant" (§VII).
+/// switches, as it is given as a constant" (§VII). Each component takes the
+/// nearest free probe of the first search ring that has one; if no ring
+/// within the radius has one, it shoves the blocks at its ideal spot
+/// aside. The result is a pure function of the arguments, whatever thread
+/// runs it.
 #[must_use]
 pub fn insert_components(
     cores: &[PlacedBlock],
@@ -92,9 +98,35 @@ pub fn insert_components(
     }
 }
 
+thread_local! {
+    /// `(cos t, sin t)` of every probe direction, ring after ring: ring
+    /// `r ≥ 1` holds its `4r` directions `t = i / 4r · τ` at
+    /// `2r(r−1) .. 2r(r+1)`. Grown on first use of a larger ring.
+    static DIRECTIONS: Cell<Vec<(f64, f64)>> = const { Cell::new(Vec::new()) };
+}
+
 /// Searches expanding rings around `ideal_ll` for a position where a `w`×`h`
-/// rectangle overlaps nothing. Candidates on each ring are visited nearest
-/// first; coordinates are clamped to the first quadrant.
+/// rectangle overlaps nothing; coordinates are clamped to the first
+/// quadrant.
+///
+/// Ring 0 is `ideal_ll` itself; ring `r` probes `4r` points at distance
+/// `r · step` in generation order `i = 0 .. 4r`. The result is the free
+/// probe of the first ring that has one with the smallest Manhattan
+/// distance from `ideal_ll`, ties broken by generation order — what a
+/// stable sort of the ring followed by a first-free scan returns. Four
+/// shortcuts reach that probe with less work, each exact:
+///
+/// * a ring is skipped when one placed block overlaps both extreme
+///   corners of the clamped box `[ideal ± r·step]` its probes lie in
+///   (`|r·cos t| ≤ r` and rounding is monotone), since that block then
+///   overlaps every probe on the ring;
+/// * the ring is scanned once, keeping the best free probe so far, and a
+///   probe whose key is not below the best is never tested (it could only
+///   lose the tie);
+/// * the directions come from a per-thread table filled with the same
+///   `cos`/`sin` expression, so the probes have the same bits;
+/// * each probe tests the block that rejected the previous one first;
+///   whether any block overlaps does not depend on the scan order.
 fn find_free_spot(
     placed: &[PlacedBlock],
     w: f64,
@@ -105,9 +137,19 @@ fn find_free_spot(
     let step = (w.min(h) / 2.0).max(0.05);
     let rings = (search_radius / step).ceil() as i32;
 
-    let free = |x: f64, y: f64| -> bool {
+    let mut blocker = 0;
+    let mut free = |x: f64, y: f64| -> bool {
         let r = Rect::new(x, y, w, h);
-        placed.iter().all(|p| !p.rect().overlaps(&r))
+        if placed.get(blocker).is_some_and(|p| p.rect().overlaps(&r)) {
+            return false;
+        }
+        match placed.iter().position(|p| p.rect().overlaps(&r)) {
+            Some(i) => {
+                blocker = i;
+                false
+            }
+            None => true,
+        }
     };
 
     let clamp = |v: f64| v.max(0.0);
@@ -117,26 +159,56 @@ fn find_free_spot(
     if free(ix, iy) {
         return Some((ix, iy));
     }
+    let mut directions = DIRECTIONS.take();
+    let mut spot = None;
     for ring in 1..=rings {
         let r = f64::from(ring) * step;
-        let mut candidates: Vec<(f64, f64)> = Vec::new();
-        let k = 4 * ring; // denser sampling on larger rings
-        for i in 0..k {
-            let t = f64::from(i) / f64::from(k) * std::f64::consts::TAU;
-            candidates.push((clamp(ideal_ll.0 + r * t.cos()), clamp(ideal_ll.1 + r * t.sin())));
+        let near = Rect::new(clamp(ideal_ll.0 - r), clamp(ideal_ll.1 - r), w, h);
+        let far = Rect::new(clamp(ideal_ll.0 + r), clamp(ideal_ll.1 + r), w, h);
+        if placed.iter().any(|p| p.rect().overlaps(&near) && p.rect().overlaps(&far)) {
+            continue;
         }
-        candidates.sort_by(|a, b| {
-            let da = (a.0 - ideal_ll.0).abs() + (a.1 - ideal_ll.1).abs();
-            let db = (b.0 - ideal_ll.0).abs() + (b.1 - ideal_ll.1).abs();
-            da.total_cmp(&db)
-        });
-        for (x, y) in candidates {
+        let span = ring_span(ring);
+        if directions.len() < span.end {
+            grow_directions(&mut directions, ring);
+        }
+        let mut best: Option<(f64, (f64, f64))> = None;
+        for &(cos, sin) in &directions[span] {
+            let (x, y) = (clamp(ideal_ll.0 + r * cos), clamp(ideal_ll.1 + r * sin));
+            let key = (x - ideal_ll.0).abs() + (y - ideal_ll.1).abs();
+            if best.is_some_and(|(b, _)| key.total_cmp(&b) != Ordering::Less) {
+                continue;
+            }
             if free(x, y) {
-                return Some((x, y));
+                best = Some((key, (x, y)));
             }
         }
+        if let Some((_, p)) = best {
+            spot = Some(p);
+            break;
+        }
     }
-    None
+    DIRECTIONS.set(directions);
+    spot
+}
+
+/// Where ring `ring` sits in the direction table.
+fn ring_span(ring: i32) -> std::ops::Range<usize> {
+    let ring = ring as usize;
+    2 * ring * (ring - 1)..2 * ring * (ring + 1)
+}
+
+/// Appends the rings the table lacks, up to and including `ring`.
+fn grow_directions(table: &mut Vec<(f64, f64)>, ring: i32) {
+    for m in 1..=ring {
+        if table.len() < ring_span(m).end {
+            let k = 4 * m; // denser sampling on larger rings
+            table.extend((0..k).map(|i| {
+                let t = f64::from(i) / f64::from(k) * std::f64::consts::TAU;
+                (t.cos(), t.sin())
+            }));
+        }
+    }
 }
 
 /// Clears a `w`×`h` hole at `ll` by displacing every overlapping block along

@@ -60,6 +60,11 @@ const PATTERNS: [TrafficPattern; 6] = [
 pub enum ConfigRecipe {
     /// Small valid sweep, layout off — the fast differential workhorse.
     Standard,
+    /// The standard sweep laid out with the §VII shove insertion
+    /// (`run_layout(true)`, no replicas). The `Jobs(3)` differential then
+    /// also compares free-space searches run on worker threads, each with
+    /// its own probe-direction table, against the caller's.
+    ShoveLayout,
     /// One-candidate window with a tight ILL budget.
     TinyWindow,
     /// Valid sweep routed through the tempered layout annealer.
@@ -92,6 +97,7 @@ impl ConfigRecipe {
         let base = SynthesisConfig::builder().jobs(jobs).run_layout(false);
         match self {
             Self::Standard => base.switch_count_range(2, 4).build(),
+            Self::ShoveLayout => base.switch_count_range(2, 4).run_layout(true).build(),
             Self::TinyWindow => base.switch_count_range(1, 1).max_ill(1).build(),
             Self::Tempered | Self::TemperedOddLadder => base
                 .switch_count_range(2, 3)
@@ -116,7 +122,11 @@ impl ConfigRecipe {
     pub fn is_valid(self) -> bool {
         matches!(
             self,
-            Self::Standard | Self::TinyWindow | Self::Tempered | Self::TemperedOddLadder
+            Self::Standard
+                | Self::ShoveLayout
+                | Self::TinyWindow
+                | Self::Tempered
+                | Self::TemperedOddLadder
         )
     }
 }
@@ -148,11 +158,12 @@ pub fn generate_case(seed: u64, index: u64) -> FuzzCase {
 
 fn sample_recipe(rng: &mut StdRng) -> ConfigRecipe {
     // Weighted so most cases drive the full pipeline, a steady trickle
-    // exercises the tempered path and each degenerate window still shows
-    // up thousands of times over a 10k-case run.
+    // exercises the shove and tempered layout paths and each degenerate
+    // window still shows up hundreds of times over a 10k-case run.
     let roll = rng.gen_range(0..100u32);
     match roll {
-        0..=61 => ConfigRecipe::Standard,
+        0..=56 => ConfigRecipe::Standard,
+        57..=61 => ConfigRecipe::ShoveLayout,
         62..=76 => ConfigRecipe::TinyWindow,
         77..=81 => ConfigRecipe::Tempered,
         82..=84 => ConfigRecipe::TemperedOddLadder,
@@ -276,6 +287,7 @@ mod tests {
     fn recipes_build_or_fail_as_declared() {
         let all = [
             ConfigRecipe::Standard,
+            ConfigRecipe::ShoveLayout,
             ConfigRecipe::TinyWindow,
             ConfigRecipe::Tempered,
             ConfigRecipe::TemperedOddLadder,

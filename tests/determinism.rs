@@ -2,14 +2,15 @@
 //! seeded from configuration, so identical inputs must produce identical
 //! outputs — bit-for-bit, run after run, whatever the thread count.
 
-use sunfloor_benchmarks::{media26, pipeline_seeded, tvopd_seeded};
+use sunfloor_benchmarks::{distributed, media26, pipeline_seeded, tvopd_seeded};
 use sunfloor_core::spec::MessageType;
-use sunfloor_core::synthesis::{SynthesisConfig, SynthesisEngine, SynthesisOutcome};
+use sunfloor_core::synthesis::{RejectReason, SynthesisConfig, SynthesisEngine, SynthesisOutcome};
 use sunfloor_floorplan::{
     anneal, anneal_tempered, anneal_tempered_constrained_with_stats, anneal_tempered_with_stats,
-    AnnealConfig, Block, ConstrainedInput, Floorplan, IdealTarget, Net, PlacedBlock,
-    SequencePair, TemperConfig, TemperStats,
+    insert_components, AnnealConfig, Block, ConstrainedInput, Floorplan, IdealTarget,
+    InsertRequest, Net, PlacedBlock, SequencePair, TemperConfig, TemperStats,
 };
+use sunfloor_models::NocLibrary;
 
 fn run(cfg: SynthesisConfig) -> SynthesisOutcome {
     let bench = media26();
@@ -438,6 +439,118 @@ fn golden_tempered_layout_sweep_is_pinned() {
     );
     let parallel = SynthesisEngine::new(&bench.soc, &bench.comm, cfg(2)).unwrap().run();
     assert_eq!(out, parallel, "jobs=2 must reproduce the serial tempered sweep");
+}
+
+/// [`fingerprint_outcome`] plus every rejected attempt: its sweep
+/// parameter, frequency, θ, the typed reason (its `Debug` text, which
+/// prints floats round-trip exact) and, for latency violations, the
+/// `excess_cycles` bits.
+fn fingerprint_outcome_with_rejections(out: &SynthesisOutcome) -> u64 {
+    let mut h = fingerprint_outcome(out);
+    for r in &out.rejected {
+        mix(&mut h, r.requested_switches as u64);
+        mix_f(&mut h, r.frequency_mhz);
+        mix_f(&mut h, r.theta.unwrap_or(f64::NAN));
+        for b in format!("{:?}", r.reason).bytes() {
+            mix(&mut h, u64::from(b));
+        }
+        if let RejectReason::LatencyViolated { excess_cycles } = r.reason {
+            mix_f(&mut h, excess_cycles);
+        }
+    }
+    h
+}
+
+/// A D_36_8-shaped layer for the shove-insertion golden: eighteen 2 mm
+/// processors packed 6×3 with no gap (a component aimed deep inside fails
+/// its free-space search and shoves), then six 1.8×1.6 mm memories in a
+/// gapped row, two of them rotated.
+fn d36_shaped_layer() -> Vec<PlacedBlock> {
+    let mut layer: Vec<PlacedBlock> = (0..18u32)
+        .map(|i| {
+            let b = Block::new(format!("proc{i}"), 2.0, 2.0);
+            PlacedBlock::new(b, f64::from(i % 6) * 2.0, f64::from(i / 6) * 2.0)
+        })
+        .collect();
+    for k in 0..6u32 {
+        let b = Block::new(format!("mem{k}"), 1.8, 1.6);
+        let mut p = PlacedBlock::new(b, f64::from(k) * 2.3, 6.45);
+        p.rotated = k % 3 == 1;
+        layer.push(p);
+    }
+    layer
+}
+
+/// Golden regression for the §VII shove insertion: switch- and
+/// TSV-macro-sized components (the macro sits at the search's 0.05 mm
+/// step floor) aimed into the zero-gap block (failed searches, then
+/// shoves), into the memory row's gaps, off the die edge and at and below
+/// the origin (clamping), at the engine's default 3 mm radius and a
+/// tighter 1 mm one.
+#[test]
+#[cfg_attr(not(all(target_arch = "x86_64", target_os = "linux")), ignore = "golden hashes captured on x86_64-linux; libm last-ulp differences move the probe points elsewhere")]
+fn golden_shove_insertion_on_d36_shaped_layer_is_pinned() {
+    let lib = NocLibrary::lp65();
+    let sw = |ports: u32| lib.switch.area_mm2(ports, ports).sqrt();
+    let tsv = lib.tsv.macro_area_mm2(lib.link.flit_width_bits).sqrt();
+    let requests = vec![
+        InsertRequest::new(Block::new("tsv0", tsv, tsv), (6.1, 2.6)),
+        InsertRequest::new(Block::new("sw0", sw(6), sw(6)), (5.9, 2.1)),
+        InsertRequest::new(Block::new("sw1", sw(4), sw(4)), (2.0, 4.0)),
+        InsertRequest::new(Block::new("tsv1", tsv, tsv), (7.0, 2.9)),
+        InsertRequest::new(Block::new("sw2", sw(5), sw(5)), (0.1, 0.05)),
+        InsertRequest::new(Block::new("tsv2", tsv, tsv), (-0.4, 0.3)),
+        InsertRequest::new(Block::new("sw3", sw(8), sw(8)), (5.0, 7.2)),
+        InsertRequest::new(Block::new("tsv3", tsv, tsv), (6.0, 5.9)),
+        InsertRequest::new(Block::new("sw4", sw(3), sw(3)), (9.5, 3.0)),
+        InsertRequest::new(Block::new("tsv4", tsv, tsv), (0.02, 6.3)),
+        InsertRequest::new(Block::new("sw5", sw(7), sw(7)), (4.1, 2.0)),
+        InsertRequest::new(Block::new("tsv5", tsv, tsv), (8.5, 3.0)),
+        InsertRequest::new(Block::new("sw6", sw(6), sw(6)), (1.0, 5.0)),
+    ];
+    let golden = [(3.0, 0x4b81_f3a1_9364_4470u64), (1.0, 0x8841_f199_90af_239d)];
+    for (radius, want) in golden {
+        let res = insert_components(&d36_shaped_layer(), &requests, radius);
+        assert!(res.plan.overlapping_pair().is_none(), "radius {radius}: overlap left behind");
+        let mut h = 0xCBF2_9CE4_8422_2325u64;
+        fingerprint_floorplan(&mut h, &res.plan);
+        for &(x, y) in &res.component_centers {
+            mix_f(&mut h, x);
+            mix_f(&mut h, y);
+        }
+        mix_f(&mut h, res.core_displacement);
+        mix_f(&mut h, res.component_deviation);
+        assert_eq!(h, want, "shove insertion drifted (radius {radius})");
+    }
+}
+
+/// Engine-level golden for the shove-insertion layout path: D_36_8 at
+/// `max_ill` 25 and 400 MHz, every point's per-layer floorplans and every
+/// rejected attempt (most are latency violations measured on the
+/// post-layout wires, so their `excess_cycles` pin the layout too).
+#[test]
+#[cfg_attr(not(all(target_arch = "x86_64", target_os = "linux")), ignore = "golden hashes captured on x86_64-linux; libm last-ulp differences move the probe points elsewhere")]
+fn golden_shove_layout_sweep_on_d36x8_is_pinned() {
+    let bench = distributed(8);
+    let cfg = SynthesisConfig::builder()
+        .switch_count_range(4, 24)
+        .max_ill(25)
+        .frequency_mhz(400.0)
+        .run_layout(true)
+        .build()
+        .unwrap();
+    let out = SynthesisEngine::new(&bench.soc, &bench.comm, cfg).unwrap().run();
+    assert_eq!(out.points.len(), 15, "D_36_8 4..24 sweep must keep its fifteen points");
+    assert!(out.points.iter().all(|p| p.layout.is_some()), "every point carries a layout");
+    assert!(
+        out.rejected.iter().any(|r| matches!(r.reason, RejectReason::LatencyViolated { .. })),
+        "the sweep must reject post-layout latency violations"
+    );
+    assert_eq!(
+        fingerprint_outcome_with_rejections(&out),
+        0xf4e7_29e2_7c16_75f1,
+        "D_36_8 shove-layout sweep drifted from the pinned result"
+    );
 }
 
 /// Quality anchor on the 65-block pipeline-style design: at an equal
