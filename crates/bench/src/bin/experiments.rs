@@ -10,8 +10,8 @@
 //! `target/experiments/`.
 //!
 //! `--gate` (with the `bench` experiment) diffs the freshly written
-//! `BENCH_phase10.json` against the committed previous-phase baseline
-//! (`BENCH_phase9.json`) and exits non-zero when any tracked metric
+//! `BENCH_phase11.json` against the committed previous-phase baseline
+//! (`BENCH_phase10.json`) and exits non-zero when any tracked metric
 //! regresses by more than the tolerance (default 30%; override with
 //! `--gate-tolerance=<fraction>`). This is the CI bench-regression gate.
 

@@ -79,13 +79,13 @@ use sunfloor_models::NocLibrary;
 
 /// File the measurements are persisted to (repo root when run via
 /// `cargo run -p sunfloor-bench --bin experiments -- bench`).
-pub const BENCH_ARTIFACT_PATH: &str = "BENCH_phase10.json";
+pub const BENCH_ARTIFACT_PATH: &str = "BENCH_phase11.json";
 
 /// The committed previous-phase baseline the gate diffs against.
-pub const BENCH_BASELINE_PATH: &str = "BENCH_phase9.json";
+pub const BENCH_BASELINE_PATH: &str = "BENCH_phase10.json";
 
 /// The phase number written into the artifact.
-const PHASE: u32 = 10;
+const PHASE: u32 = 11;
 
 /// Times `f` over `reps` repetitions (after one warm-up call) and returns
 /// seconds per repetition.

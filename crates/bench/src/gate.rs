@@ -52,6 +52,10 @@ impl TrackedMetric {
 pub const TRACKED_METRICS: &[TrackedMetric] = &[
     TrackedMetric::gated("sweep.serial_s", Direction::LowerIsBetter),
     TrackedMetric::gated("sweep.parallel_s", Direction::LowerIsBetter),
+    // The one-shot cost (engine construction, Phase-1 and placement-LP
+    // warm-ups, first sweep): present from phase 4 on, gated since phase
+    // 11. Skipped against the phase-3 baseline.
+    TrackedMetric::gated("sweep.first_run_s", Direction::LowerIsBetter),
     TrackedMetric::gated("partition_phase1_k8_s", Direction::LowerIsBetter),
     // Present from phase 4 on: skipped against the phase-3 baseline, and
     // self-activating once BENCH_phase4.json becomes the baseline — so the
@@ -82,15 +86,15 @@ pub const TRACKED_METRICS: &[TrackedMetric] = &[
     // 380k -> 246k iterations/s from phase 6 to phase 7 unflagged).
     TrackedMetric::gated("tempering.serial_iters_per_s", Direction::HigherIsBetter),
     // Present from phase 9 on (the tempered layout path's net-free
-    // anneal): skipped against the phase-8 baseline, self-activating once
-    // BENCH_phase9.json becomes the baseline.
+    // anneal): skipped against the phase-8 baseline, active since
+    // BENCH_phase9.json became the baseline.
     TrackedMetric::gated(
         "tempering.layout_r2.per_replica_iters_per_s",
         Direction::HigherIsBetter,
     ),
     // Present from phase 10 on (the shove-insertion layout of one D_36_8
-    // candidate): skipped against the phase-9 baseline, self-activating
-    // once BENCH_phase10.json becomes the baseline.
+    // candidate): skipped against the phase-9 baseline, active now that
+    // BENCH_phase10.json is the baseline.
     TrackedMetric::gated("layout.shove_d36x8.per_call_s", Direction::LowerIsBetter),
     // The replica-scaling ratio is a property of the runner's core count
     // (a 1-core runner time-shares the replicas and reports ~1.0): tracked
@@ -367,14 +371,16 @@ mod tests {
     fn baseline_against_itself_passes() {
         let report = compare(BASELINE, BASELINE, 0.30);
         assert!(!report.regressed(), "{}", report.render());
-        // The phase-3 baseline predates the cold/θ partition metrics, the
-        // phase-5 warm placement-LP metrics, the phase-4 LCS pack, the
-        // phase-6/7/9 tempering metrics and the phase-10 shove layout, so
-        // those ten are skipped; everything else compares equal.
-        assert_eq!(report.deltas.len(), TRACKED_METRICS.len() - 10);
+        // The phase-3 baseline predates the phase-4 first-run sweep, the
+        // cold/θ partition metrics, the phase-5 warm placement-LP metrics,
+        // the phase-4 LCS pack, the phase-6/7/9 tempering metrics and the
+        // phase-10 shove layout, so those eleven are skipped; everything
+        // else compares equal.
+        assert_eq!(report.deltas.len(), TRACKED_METRICS.len() - 11);
         assert_eq!(
             report.skipped,
             vec![
+                "sweep.first_run_s".to_string(),
                 "partition_phase1_k8_cold_s".to_string(),
                 "partition_phase1_k8_theta_sparse_s".to_string(),
                 "placement_lp_warm_k8_s".to_string(),

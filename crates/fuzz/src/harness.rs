@@ -17,14 +17,22 @@
 //!    `StopPolicy::PointBudget(1)` stop promptly with well-formed partial
 //!    outcomes, and the observer event stream stays well-formed even when
 //!    a policy cancels the sweep mid-stream.
+//! 5. **LP optimality** — on layout-free recipes every feasible point's
+//!    switch positions are the output of the engine's placement LP (warm
+//!    chains, cross-candidate seeds and adopted bases included); rebuilt
+//!    from the point's topology, that LP's cold solve must reach the same
+//!    objective within 1e-9 relative.
 
 use crate::generator::FuzzCase;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
+use sunfloor_core::graph::CommGraph;
+use sunfloor_core::place::PlacementWeights;
 use sunfloor_core::spec::{CommSpec, SocSpec};
 use sunfloor_core::synthesis::{
     StopPolicy, SweepEvent, SynthesisEngine, SynthesisOutcome,
 };
+use sunfloor_lp::PlacementProblem;
 
 /// How far through the pipeline a case travelled — every terminal state is
 /// a *typed* rejection or a successful run.
@@ -55,6 +63,8 @@ pub enum FailureKind {
     ObserverContract,
     /// A fault-injected run returned a malformed partial outcome.
     FaultInjection,
+    /// A point's placement objective differs from a cold solve of its LP.
+    LpOptimality,
 }
 
 impl FailureKind {
@@ -67,6 +77,7 @@ impl FailureKind {
             Self::Unclassified => "unclassified",
             Self::ObserverContract => "observer-contract",
             Self::FaultInjection => "fault-injection",
+            Self::LpOptimality => "lp-optimality",
         }
     }
 }
@@ -120,6 +131,7 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseClass, Failure> {
     };
 
     // 3. Engine construction (re-validates spec/config coupling).
+    let layout_free = !cfg.run_layout;
     let serial = match guard(|| SynthesisEngine::new(&soc, &comm, cfg)) {
         Err(payload) => {
             return Err(fail(FailureKind::Panic, format!("SynthesisEngine::new: {payload}")))
@@ -148,7 +160,19 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseClass, Failure> {
         ));
     }
 
-    // 5. Parallel differential: Jobs(3) must be bit-identical.
+    // 5. Without layout, switch positions are the placement LP's output:
+    //    its objective must match a cold solve.
+    if layout_free {
+        match guard(|| check_lp_optimality(&soc, &comm, &outcome)) {
+            Err(payload) => {
+                return Err(fail(FailureKind::Panic, format!("LP optimality check: {payload}")))
+            }
+            Ok(Err(detail)) => return Err(fail(FailureKind::LpOptimality, detail)),
+            Ok(Ok(())) => {}
+        }
+    }
+
+    // 6. Parallel differential: Jobs(3) must be bit-identical.
     let jobs = if case.recipe.is_valid() { 3 } else { 1 };
     if let Ok(cfg_par) = case.recipe.build(jobs) {
         let parallel = match guard(AssertUnwindSafe(|| {
@@ -165,7 +189,7 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseClass, Failure> {
         }
     }
 
-    // 6. Fault injection, subsampled (cases where it is cheap enough to
+    // 7. Fault injection, subsampled (cases where it is cheap enough to
     //    run everywhere would bias coverage toward trivial inputs).
     if case.index.is_multiple_of(4) {
         check_fault_injection(case, &serial, &outcome)?;
@@ -176,6 +200,39 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseClass, Failure> {
     } else {
         Ok(CaseClass::Feasible)
     }
+}
+
+/// Rebuilds each point's §VII placement LP from its routed topology, the
+/// way `PlacementSolver::place` builds it, and checks that the point's
+/// switch positions reach a cold [`PlacementProblem::solve`]'s objective
+/// within 1e-9 relative.
+fn check_lp_optimality(
+    soc: &SocSpec,
+    comm: &CommSpec,
+    outcome: &SynthesisOutcome,
+) -> Result<(), String> {
+    let graph = CommGraph::new(soc, comm);
+    let mut problem = PlacementProblem::new(0);
+    for (k, point) in outcome.points.iter().enumerate() {
+        let topo = &point.topology;
+        let weights = PlacementWeights::from_topology(topo, &graph);
+        problem.reset(topo.switch_count());
+        for &(core, sw, bw) in &weights.core_switch {
+            problem.attract_to_fixed(sw, soc.cores[core].center(), bw);
+        }
+        for &(a, b, bw) in &weights.switch_switch {
+            problem.attract_pair(a, b, bw);
+        }
+        let cold = problem.solve().map_err(|e| format!("point {k}: cold placement LP: {e}"))?;
+        let (got, want) = (problem.objective(&topo.switch_pos), problem.objective(&cold));
+        if (got - want).abs() > 1e-9 * got.abs().max(want.abs()) {
+            return Err(format!(
+                "point {k} ({} switches): placement objective {got} vs cold LP optimum {want}",
+                topo.switch_count()
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Catches panics, rendering the payload.

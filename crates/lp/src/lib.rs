@@ -32,13 +32,19 @@
 //! optimal solution is obtained in few seconds", §VII) — so the solver keeps
 //! a flat row-major tableau: structural columns, one slack or surplus per
 //! inequality, artificial columns only for the rows that start on one (the
-//! `≥` / `=` rows once each rhs is made non-negative), then the rhs. The
-//! per-candidate cost is dominated by simplex pivots, which the warm starts
-//! cut in number and which stay cheap each: a pivot eliminates only over
-//! the nonzero entries of its row, and stops updating artificial columns
-//! once phase 1 is over. None of this changes a result bit against the
-//! textbook dense tableau (one artificial per row, full-row eliminations);
-//! the crate's `reference_simplex` test keeps that tableau as an oracle.
+//! `≥` / `=` rows once each rhs is made non-negative), then the rhs. Only
+//! a few percent of its cells are nonzero, so a row bitmap and a column
+//! bitmap mark the live cells, and every scan — pricing, the ratio tests,
+//! the pivot's row scaling and elimination, the basis replay and the
+//! rebuild for the next problem — touches only those. The per-candidate
+//! cost is dominated by simplex pivots, which the warm starts cut in
+//! number and which stay cheap each: a pivot visits only the rows its
+//! column is live in, eliminates only over the nonzero entries of its
+//! row, and stops updating artificial columns once phase 1 is over. None
+//! of this changes a result bit against the textbook dense tableau (one
+//! artificial per row, full-row eliminations); the crate's
+//! `reference_simplex` test keeps that tableau as an oracle, at the
+//! sizes of a synthesized design too.
 //!
 //! # Example
 //!

@@ -104,10 +104,11 @@ impl SavedBasis {
     /// Replays the snapshot into a freshly rebuilt tableau: each saved
     /// basic column is pivoted in (columns processed in saved row order),
     /// choosing the pivot row by partial pivoting over the rows not yet
-    /// claimed — largest magnitude, ties towards the smallest row index, so
-    /// the elimination is deterministic and succeeds whenever the basis
-    /// matrix is (numerically) nonsingular. Replay pivots skip the pricing
-    /// and ratio-test scans, so they cost a fraction of a simplex iteration
+    /// claimed, walking only the column's live cells — largest magnitude,
+    /// ties towards the smallest row index, so the elimination is
+    /// deterministic and succeeds whenever the basis matrix is
+    /// (numerically) nonsingular. Replay pivots skip the pricing and
+    /// ratio-test scans, so they cost a fraction of a simplex iteration
     /// each.
     ///
     /// Returns the number of replay pivots, or `None` when the basis is
@@ -121,11 +122,11 @@ impl SavedBasis {
         for &col in &self.rows {
             let mut best_row = None;
             let mut best_mag = REPLAY_PIVOT_TOL;
-            for (i, &taken) in claimed.iter().enumerate() {
-                if taken {
+            for (i, x) in tab.col_cells(col) {
+                if claimed[i] {
                     continue;
                 }
-                let mag = tab.cell(i, col).abs();
+                let mag = x.abs();
                 if mag > best_mag {
                     best_mag = mag;
                     best_row = Some(i);

@@ -1,6 +1,7 @@
 //! The simplex solver subsystem: the [`Problem`] model, the tableau
-//! ([`tableau`]: flat row-major storage, artificial columns only where a
-//! row needs one, sparse pivot eliminations), basis bookkeeping and
+//! ([`tableau`]: flat row-major storage with row and column bitmaps of its
+//! live cells, artificial columns only where a row needs one, sparse
+//! pivots and scans), basis bookkeeping and
 //! warm-start snapshots ([`basis`]), the primal/dual pivot loops
 //! ([`pricing`]) and the persistent [`SolverState`] warm-start machinery
 //! ([`warm`]).

@@ -244,9 +244,8 @@ impl SolverState {
             // Pivot remaining artificials out of the basis if possible.
             for i in 0..m {
                 if self.tab.basis.rows[i] >= art_start {
-                    if let Some(j) =
-                        (0..art_start).find(|&j| self.tab.cell(i, j).abs() > 1e-7)
-                    {
+                    let j = self.tab.row_cells(i, art_start).find(|&(_, x)| x.abs() > 1e-7);
+                    if let Some((j, _)) = j {
                         self.tab.pivot(i, j);
                     }
                     // Else the row is all-zero in structural columns: a

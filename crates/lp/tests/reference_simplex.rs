@@ -5,14 +5,21 @@
 //! eliminations, with the same pricing rules, warm re-entry (basis replay,
 //! primal phase 2 or dual simplex) and cold fallback as the library's
 //! solver. The library's tableau stores no artificial for a `≤` row,
-//! stops updating artificial columns once they can no longer be read, and
-//! eliminates only over the pivot row's nonzero entries; the properties
-//! here check that none of that moves a single output bit: solution
-//! values, objective, error, and every field of the [`SolveReport`], cold
-//! and through warm chains and exported basis snapshots.
+//! stops updating artificial columns once they can no longer be read,
+//! keeps row and column bitmaps of its live cells and walks only those,
+//! never zero-fills its reused buffer, and eliminates only over the pivot
+//! row's nonzero entries; the checks here show that none of that moves a
+//! single output bit: solution values, objective, error, and every field
+//! of the [`SolveReport`], cold and through warm chains and exported basis
+//! snapshots. The proptests draw small problems (one bitmap word each
+//! way); the seeded design-size tests at the end draw problems as large as
+//! a synthesized design's, whose bitmaps span several words, and run
+//! large, small and large problems through one state.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use sunfloor_lp::{
     ConstraintOp, PlacementProblem, PlacementState, Problem, SolveError, SolveReport, SolverState,
 };
@@ -517,6 +524,14 @@ fn op_of(k: usize) -> ConstraintOp {
 /// often, so many rows are tight there (degenerate vertices).
 const SLACK: [f64; 4] = [0.0, 0.0, 1.0, 2.0];
 
+/// A random LP: variable count, objective, rows, a second set of
+/// right-hand sides and a second objective of the same shape.
+type LpCase = (usize, Vec<f64>, Vec<RawRow>, Vec<f64>, Vec<f64>);
+
+/// One drawn row: terms as `(variable, COEFS index)`, then indices into
+/// the operator cycle, `RHS`, the row kind (`0..8`) and `SLACK`.
+type RowDraw = (Vec<(usize, usize)>, usize, usize, usize, usize);
+
 /// A random LP over `n` variables, with a second set of right-hand sides
 /// and a second objective of the same shape. Most rows are built around
 /// two anchor points `x0, x1 ≥ 0` (each row holds at `x0` for the first
@@ -527,7 +542,7 @@ const SLACK: [f64; 4] = [0.0, 0.0, 1.0, 2.0];
 /// unbounded. A row may also be an exact duplicate of an earlier row or a
 /// doubled copy of one (a redundant constraint), and fresh rows may repeat
 /// a variable.
-fn arb_lp() -> impl Strategy<Value = (usize, Vec<f64>, Vec<RawRow>, Vec<f64>, Vec<f64>)> {
+fn arb_lp() -> impl Strategy<Value = LpCase> {
     (1usize..7, 1usize..9).prop_flat_map(|(n, m)| {
         let term = (0..n, 0usize..COEFS.len());
         let row = (
@@ -546,43 +561,51 @@ fn arb_lp() -> impl Strategy<Value = (usize, Vec<f64>, Vec<RawRow>, Vec<f64>, Ve
             point,
             proptest::collection::vec(0usize..OBJ.len(), n..n + 1),
         )
-            .prop_map(|(n, obj, rows, x0, x1, obj2)| {
-                let mut raw: Vec<RawRow> = Vec::new();
-                let mut rhs2: Vec<f64> = Vec::new();
-                for (i, (terms, op, rhs, kind, slack)) in rows.into_iter().enumerate() {
-                    if i > 0 && kind >= 6 {
-                        let j = (kind + i) % i;
-                        let scale = if kind == 6 { 1.0 } else { 2.0 };
-                        let (t, o, r) = raw[j].clone();
-                        raw.push((t.iter().map(|&(v, c)| (v, c * scale)).collect(), o, r * scale));
-                        rhs2.push(rhs2[j] * scale);
-                        continue;
-                    }
-                    let terms: Vec<(usize, f64)> =
-                        terms.into_iter().map(|(v, c)| (v, COEFS[c])).collect();
-                    let op = op_of(op);
-                    if kind < 2 {
-                        raw.push((terms, op, RHS[rhs]));
-                        rhs2.push(RHS[(rhs + 4) % RHS.len()]);
-                        continue;
-                    }
-                    let at = |x: &[u32]| -> f64 {
-                        terms.iter().map(|&(v, c)| c * f64::from(x[v])).sum::<f64>()
-                    };
-                    let room = match op {
-                        ConstraintOp::Le => SLACK[slack],
-                        ConstraintOp::Ge => -SLACK[slack],
-                        ConstraintOp::Eq => 0.0,
-                    };
-                    let (r0, r1) = (at(&x0) + room, at(&x1) + room);
-                    raw.push((terms, op, r0));
-                    rhs2.push(r1);
-                }
-                let obj = obj.into_iter().map(|k| OBJ[k]).collect();
-                let obj2 = obj2.into_iter().map(|k| OBJ[k]).collect();
-                (n, obj, raw, rhs2, obj2)
-            })
+            .prop_map(|(n, obj, rows, x0, x1, obj2)| lp_from_draws(n, &obj, rows, &x0, &x1, &obj2))
     })
+}
+
+/// Turns the index draws of [`arb_lp`] (or [`draw_lp`]) into the LP.
+fn lp_from_draws(
+    n: usize,
+    obj: &[usize],
+    rows: Vec<RowDraw>,
+    x0: &[u32],
+    x1: &[u32],
+    obj2: &[usize],
+) -> LpCase {
+    let mut raw: Vec<RawRow> = Vec::new();
+    let mut rhs2: Vec<f64> = Vec::new();
+    for (i, (terms, op, rhs, kind, slack)) in rows.into_iter().enumerate() {
+        if i > 0 && kind >= 6 {
+            let j = (kind + i) % i;
+            let scale = if kind == 6 { 1.0 } else { 2.0 };
+            let (t, o, r) = raw[j].clone();
+            raw.push((t.iter().map(|&(v, c)| (v, c * scale)).collect(), o, r * scale));
+            rhs2.push(rhs2[j] * scale);
+            continue;
+        }
+        let terms: Vec<(usize, f64)> = terms.into_iter().map(|(v, c)| (v, COEFS[c])).collect();
+        let op = op_of(op);
+        if kind < 2 {
+            raw.push((terms, op, RHS[rhs]));
+            rhs2.push(RHS[(rhs + 4) % RHS.len()]);
+            continue;
+        }
+        let at =
+            |x: &[u32]| -> f64 { terms.iter().map(|&(v, c)| c * f64::from(x[v])).sum::<f64>() };
+        let room = match op {
+            ConstraintOp::Le => SLACK[slack],
+            ConstraintOp::Ge => -SLACK[slack],
+            ConstraintOp::Eq => 0.0,
+        };
+        let (r0, r1) = (at(x0) + room, at(x1) + room);
+        raw.push((terms, op, r0));
+        rhs2.push(r1);
+    }
+    let obj = obj.iter().map(|&k| OBJ[k]).collect();
+    let obj2 = obj2.iter().map(|&k| OBJ[k]).collect();
+    (n, obj, raw, rhs2, obj2)
 }
 
 proptest! {
@@ -818,4 +841,258 @@ proptest! {
             same_placement(&got, &want, &fixed2, &pairs, st.reports(), (or.0.report, or.1.report))?;
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Design-size cases. The properties above stay within one bitmap word in
+// each direction (at most 8 rows and a few dozen columns); the cases below
+// are as large as a synthesized design's axis LPs, so the tableau's row and
+// column bitmaps span several words, and they run large, small and large
+// problems through one state, so every rebuild lands on a buffer holding
+// stale cells of a different tableau.
+
+/// Panics with the case context when a comparison failed.
+fn check(r: Result<(), TestCaseError>, ctx: &str) {
+    if let Err(e) = r {
+        panic!("{ctx}: {e:?}");
+    }
+}
+
+/// The library's column count for `lp`: structural, one slack or surplus
+/// per inequality, one artificial per row that is not a `≤` row once its
+/// rhs is made non-negative.
+fn library_columns(lp: &Lp) -> usize {
+    let slack = lp.rows.iter().filter(|r| r.op != ConstraintOp::Eq).count();
+    let art = lp
+        .rows
+        .iter()
+        .filter(|r| match r.op {
+            ConstraintOp::Le => r.rhs < 0.0,
+            ConstraintOp::Ge => r.rhs >= 0.0,
+            ConstraintOp::Eq => true,
+        })
+        .count();
+    lp.num_vars + slack + art
+}
+
+/// Whether `lp`'s tableau needs more than one bitmap word per column (more
+/// than 64 rows) and more than two per row (more than 128 columns).
+fn spans_words(lp: &Lp) -> bool {
+    lp.rows.len() > 64 && library_columns(lp) > 128
+}
+
+/// A pin coordinate on a 20 mm die: mostly a quarter-millimetre lattice
+/// (shared medians, exact ties), some zeros (`rhs = 0` rows) and some
+/// thirds, which do not round exactly.
+fn design_coord(rng: &mut StdRng) -> f64 {
+    match rng.gen_range(0..10u32) {
+        0 => 0.0,
+        1 | 2 => f64::from(rng.gen_range(1..60u32)) / 3.0,
+        _ => f64::from(rng.gen_range(0..80u32)) * 0.25,
+    }
+}
+
+/// A design-size placement: 6–12 free points, 20–40 pins (the first one
+/// on each free point, so every point is attracted) and 6–12 pairs, with
+/// small integer weights; plus, per pin, a moved location and a new
+/// weight for the in-place refresh.
+fn design_placement(rng: &mut StdRng) -> (Placement, Vec<(f64, f64, f64)>) {
+    let free = rng.gen_range(6..=12usize);
+    let n_pins = rng.gen_range(20..=40usize);
+    let n_pairs = rng.gen_range(6..=12usize);
+    let mut fixed = Vec::new();
+    for k in 0..n_pins {
+        let i = if k < free { k } else { rng.gen_range(0..free) };
+        let (x, y) = (design_coord(rng), design_coord(rng));
+        fixed.push((i, x, y, f64::from(rng.gen_range(1..=4u32))));
+    }
+    let mut pairs = Vec::new();
+    for _ in 0..n_pairs {
+        let a = rng.gen_range(0..free);
+        let b = (a + rng.gen_range(1..free)) % free;
+        pairs.push((a, b, f64::from(rng.gen_range(1..=4u32))));
+    }
+    let moved = (0..n_pins)
+        .map(|_| (design_coord(rng), design_coord(rng), f64::from(rng.gen_range(1..=4u32))))
+        .collect();
+    ((free, fixed, pairs), moved)
+}
+
+/// A small placement of the size [`arb_placement`] draws.
+fn small_placement(rng: &mut StdRng) -> Placement {
+    let free = rng.gen_range(1..=4usize);
+    let fixed = (0..rng.gen_range(1..=6usize))
+        .map(|_| {
+            let i = rng.gen_range(0..free);
+            (i, design_coord(rng), design_coord(rng), f64::from(rng.gen_range(1..=3u32)))
+        })
+        .collect();
+    let pairs = (0..rng.gen_range(0..=3usize))
+        .map(|_| (rng.gen_range(0..free), rng.gen_range(0..free)))
+        .filter(|(a, b)| a != b)
+        .map(|(a, b)| (a, b, 2.0))
+        .collect();
+    (free, fixed, pairs)
+}
+
+/// Solves one placement through `state` and the reference states and
+/// compares them bit for bit, per-axis reports included.
+fn place_both(
+    (free, fixed, pairs): &Placement,
+    state: &mut PlacementState,
+    oracle: &mut (reference::State, reference::State),
+    ctx: &str,
+) {
+    let got = placement_of(*free, fixed, pairs).solve_with(state);
+    let want = reference_place(*free, fixed, pairs, oracle);
+    let want_reports = (oracle.0.report, oracle.1.report);
+    check(same_placement(&got, &want, fixed, pairs, state.reports(), want_reports), ctx);
+}
+
+/// Design-size placements through one `PlacementState` — a large
+/// placement cold, re-solved with moved pins and new weights (warm), a
+/// small one, a second large one, and a fresh state seeded from the
+/// second's exported `PlacementSeed` — all match the reference bit for
+/// bit, per-axis reports included.
+#[test]
+fn design_size_placements_match_the_dense_reference() {
+    let mut rng = StdRng::seed_from_u64(0x5EED_B175);
+    let cases = 24;
+    let (mut spanning, mut warm) = (0, 0);
+    for case in 0..cases {
+        let (big, moved) = design_placement(&mut rng);
+        let (big2, moved2) = design_placement(&mut rng);
+        let small = small_placement(&mut rng);
+        let refresh = |(free, fixed, pairs): &Placement, moved: &[(f64, f64, f64)]| -> Placement {
+            let fixed = fixed.iter().zip(moved).map(|(f, &(x, y, w))| (f.0, x, y, w)).collect();
+            (*free, fixed, pairs.clone())
+        };
+        let (free, fixed, pairs) = &big;
+        if spans_words(&axis_lp(*free, fixed, pairs, 0)) {
+            spanning += 1;
+        }
+
+        let mut state = PlacementState::new();
+        let mut oracle = (reference::State::default(), reference::State::default());
+        let steps = [&big, &refresh(&big, &moved), &small, &big2];
+        for (k, p) in steps.into_iter().enumerate() {
+            place_both(p, &mut state, &mut oracle, &format!("case {case}, step {k}"));
+            warm += u32::from(state.reports().0.warm) + u32::from(state.reports().1.warm);
+        }
+
+        let seed = state.export_seed();
+        assert_eq!(
+            seed.is_some(),
+            oracle.0.export().is_some() && oracle.1.export().is_some(),
+            "case {case}: seed export"
+        );
+        if let (Some(seed), Some(x), Some(y)) = (seed, oracle.0.export(), oracle.1.export()) {
+            let mut seeded = PlacementState::new();
+            seeded.seed_from(&seed);
+            let mut seeded_oracle = (reference::State::default(), reference::State::default());
+            seeded_oracle.0.import(&x);
+            seeded_oracle.1.import(&y);
+            let p = refresh(&big2, &moved2);
+            place_both(&p, &mut seeded, &mut seeded_oracle, &format!("case {case}, seeded"));
+            warm += u32::from(seeded.reports().0.warm);
+        }
+    }
+    assert!(spanning >= cases * 2 / 3, "only {spanning} of {cases} cases span two words");
+    assert!(warm >= cases * 2, "only {warm} warm axis solves in {cases} cases");
+}
+
+/// A random LP of design size (60–80 variables, 66–90 rows) drawn like
+/// [`arb_lp`]'s, through [`lp_from_draws`], with non-negative costs and
+/// fewer arbitrary and duplicated rows.
+fn draw_lp(rng: &mut StdRng) -> LpCase {
+    let n = rng.gen_range(60..=80usize);
+    let m = rng.gen_range(66..=90usize);
+    // Non-negative costs (OBJ[1..]): with dozens of variables, a single
+    // negative cost nearly always finds an unbounded ray.
+    let mut pick = || -> Vec<usize> { (0..n).map(|_| rng.gen_range(1..OBJ.len())).collect() };
+    let (obj, obj2) = (pick(), pick());
+    let rows = (0..m)
+        .map(|_| {
+            let terms = (0..rng.gen_range(1..5usize))
+                .map(|_| (rng.gen_range(0..n), rng.gen_range(0..COEFS.len())))
+                .collect();
+            (
+                terms,
+                rng.gen_range(0..4usize),
+                rng.gen_range(0..RHS.len()),
+                // Mostly anchored rows: at this size the small draws' share
+                // of arbitrary (kind < 2) and duplicated (kind ≥ 6) rows
+                // would leave nearly every LP infeasible or redundant.
+                match rng.gen_range(0..40u32) {
+                    0 => 0,
+                    1 | 2 => rng.gen_range(6..8usize),
+                    _ => rng.gen_range(2..6usize),
+                },
+                rng.gen_range(0..SLACK.len()),
+            )
+        })
+        .collect();
+    let mut point = || -> Vec<u32> { (0..n).map(|_| rng.gen_range(0..4u32)).collect() };
+    let (x0, x1) = (point(), point());
+    lp_from_draws(n, &obj, rows, &x0, &x1, &obj2)
+}
+
+/// Large, small and large LPs through one `SolverState`: a design-size
+/// random LP, the same with new right-hand sides (the dual re-entry) and a
+/// new objective, a small LP, a design-size placement's x-axis LP and its
+/// refresh, and a second design-size random LP — each step matches the
+/// reference bit for bit, reports included.
+#[test]
+fn large_small_large_lps_through_one_state_match_the_dense_reference() {
+    let mut rng = StdRng::seed_from_u64(0x1A26_E5A1);
+    let cases = 16;
+    let (mut spanning, mut solved, mut warm) = (0, 0, 0);
+    for case in 0..cases {
+        let (n, obj, raw, rhs2, obj2) = draw_lp(&mut rng);
+        let moved: Vec<RawRow> =
+            raw.iter().zip(&rhs2).map(|((t, o, _), &r)| (t.clone(), *o, r)).collect();
+        let small = {
+            let (free, fixed, pairs) = small_placement(&mut rng);
+            axis_lp(free, &fixed, &pairs, 1)
+        };
+        let ((free, fixed, pairs), pins) = design_placement(&mut rng);
+        let placed = axis_lp(free, &fixed, &pairs, 0);
+        // Moved pins, same weights: the dual re-entry of a placement chain.
+        let fixed2: Vec<_> =
+            fixed.iter().zip(&pins).map(|(&(i, .., w), &(x, y, _))| (i, x, y, w)).collect();
+        let replaced = axis_lp(free, &fixed2, &pairs, 0);
+        let (n2, obj_b, raw_b, ..) = draw_lp(&mut rng);
+
+        let mut steps: Vec<Lp> =
+            vec![both(n, &obj, &raw).1, both(n, &obj, &moved).1, both(n, &obj2, &moved).1, small];
+        steps.extend([placed, replaced, both(n2, &obj_b, &raw_b).1]);
+        let mut state = SolverState::new();
+        let mut oracle = reference::State::default();
+        for (k, lp) in steps.iter().enumerate() {
+            let p = problem_of(lp);
+            let got = p.solve_from(&mut state);
+            let want = oracle.solve(lp);
+            check(
+                same(&got, &want, state.last_report(), oracle.report),
+                &format!("case {case}, step {k}"),
+            );
+            spanning += u32::from(spans_words(lp));
+            solved += u32::from(got.is_ok());
+            warm += u32::from(state.last_report().warm);
+        }
+    }
+    assert!(spanning >= cases * 4, "only {spanning} design-size steps span two words");
+    assert!(solved >= cases * 4, "only {solved} of {} steps solved", cases * 7);
+    assert!(warm >= cases, "only {warm} warm re-entries");
+}
+
+/// The library [`Problem`] of a reference [`Lp`] (terms already merged).
+fn problem_of(lp: &Lp) -> Problem {
+    let mut p = Problem::minimize(lp.num_vars);
+    let obj: Vec<(usize, f64)> = lp.objective.iter().copied().enumerate().collect();
+    p.set_objective(&obj);
+    for r in &lp.rows {
+        p.add_constraint(&r.terms, r.op, r.rhs);
+    }
+    p
 }
