@@ -113,6 +113,23 @@ impl PlacementWeights {
             }
         });
     }
+
+    /// Resets `problem` to `switches` free points and adds these weights'
+    /// attractions — core↔switch to the cores' centres, then switch↔switch
+    /// — in that order. This is the LP [`PlacementSolver::place`] solves.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a switch index is not below `switches`.
+    pub fn fill_problem(&self, switches: usize, soc: &SocSpec, problem: &mut PlacementProblem) {
+        problem.reset(switches);
+        for &(core, sw, bw) in &self.core_switch {
+            problem.attract_to_fixed(sw, soc.cores[core].center(), bw);
+        }
+        for &(a, b, bw) in &self.switch_switch {
+            problem.attract_pair(a, b, bw);
+        }
+    }
 }
 
 /// Deterministic counters of how the switch-placement LP work was served.
@@ -330,13 +347,7 @@ impl PlacementSolver {
         graph: &CommGraph,
     ) -> Result<f64, SolveError> {
         self.weights.rebuild(topo, graph);
-        self.problem.reset(topo.switch_count());
-        for &(core, sw, bw) in &self.weights.core_switch {
-            self.problem.attract_to_fixed(sw, soc.cores[core].center(), bw);
-        }
-        for &(a, b, bw) in &self.weights.switch_switch {
-            self.problem.attract_pair(a, b, bw);
-        }
+        self.weights.fill_problem(topo.switch_count(), soc, &mut self.problem);
 
         let key = topo.switch_count();
         let slot = match self.states.iter().position(|s| s.switches == key) {
@@ -451,13 +462,8 @@ mod tests {
     fn lp_objective_beats_centroid_heuristic() {
         let (soc, graph, mut topo) = setup();
         let weights = PlacementWeights::from_topology(&topo, &graph);
-        let mut problem = PlacementProblem::new(topo.switch_count());
-        for &(core, sw, bw) in &weights.core_switch {
-            problem.attract_to_fixed(sw, soc.cores[core].center(), bw);
-        }
-        for &(a, b, bw) in &weights.switch_switch {
-            problem.attract_pair(a, b, bw);
-        }
+        let mut problem = PlacementProblem::new(0);
+        weights.fill_problem(topo.switch_count(), &soc, &mut problem);
         let obj = PlacementSolver::new().place(&mut topo, &soc, &graph).unwrap();
         let centroid = vec![(3.0, 1.0), (3.0, 7.0)];
         assert!(obj <= problem.objective(&centroid) + 1e-6);

@@ -202,8 +202,9 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseClass, Failure> {
     }
 }
 
-/// Rebuilds each point's §VII placement LP from its routed topology, the
-/// way `PlacementSolver::place` builds it, and checks that the point's
+/// Rebuilds each point's §VII placement LP from its routed topology with
+/// [`PlacementWeights::fill_problem`], the builder `PlacementSolver::place`
+/// uses, and checks that the point's
 /// switch positions reach a cold [`PlacementProblem::solve`]'s objective
 /// within 1e-9 relative.
 fn check_lp_optimality(
@@ -215,14 +216,11 @@ fn check_lp_optimality(
     let mut problem = PlacementProblem::new(0);
     for (k, point) in outcome.points.iter().enumerate() {
         let topo = &point.topology;
-        let weights = PlacementWeights::from_topology(topo, &graph);
-        problem.reset(topo.switch_count());
-        for &(core, sw, bw) in &weights.core_switch {
-            problem.attract_to_fixed(sw, soc.cores[core].center(), bw);
-        }
-        for &(a, b, bw) in &weights.switch_switch {
-            problem.attract_pair(a, b, bw);
-        }
+        PlacementWeights::from_topology(topo, &graph).fill_problem(
+            topo.switch_count(),
+            soc,
+            &mut problem,
+        );
         let cold = problem.solve().map_err(|e| format!("point {k}: cold placement LP: {e}"))?;
         let (got, want) = (problem.objective(&topo.switch_pos), problem.objective(&cold));
         if (got - want).abs() > 1e-9 * got.abs().max(want.abs()) {
